@@ -18,12 +18,15 @@
 //
 // The run is a regression gate: it exits non-zero unless, at every fleet
 // size, sharded AND dynamic cut the manager-load Gini at least 2x below
-// fixed and beat fixed's p99 fault latency. Writes BENCH_directory.json.
+// fixed and beat fixed's p99 fault latency. Writes BENCH_directory.json,
+// which also records each run's host wall-clock split into setup (System
+// construction + Start) and run (Engine::Run).
 //
 // All hosts share one Firefly-derived profile with 128-byte VM pages so a
 // 64N-page region fits in memory at N=256 while keeping the 1:1 VM:DSM
 // page mapping of an all-Firefly cluster.
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -74,7 +77,15 @@ struct ModeResult {
   std::int64_t migrations = 0;
   std::int64_t forwards = 0;
   bool correct = false;
+  // Host wall-clock: System construction + Start, then Engine::Run.
+  double setup_wall_s = 0;
+  double run_wall_s = 0;
 };
+
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 double Gini(std::vector<double> x) {
   std::sort(x.begin(), x.end());
@@ -122,8 +133,10 @@ ModeResult RunMode(int n_hosts, const ModeSpec& mode, int mode_idx) {
 
   std::vector<const arch::ArchProfile*> hosts(
       static_cast<std::size_t>(n_hosts), &BenchProfile());
+  const auto setup_start = std::chrono::steady_clock::now();
   dsm::System sys(eng, cfg, hosts);
   sys.Start();
+  const double setup_wall_s = SecondsSince(setup_start);
 
   std::vector<std::vector<double>> lat(static_cast<std::size_t>(n_hosts));
   std::vector<bool> worker_ok(static_cast<std::size_t>(n_hosts), false);
@@ -177,7 +190,9 @@ ModeResult RunMode(int n_hosts, const ModeSpec& mode, int mode_idx) {
     for (int w = 1; w < n_hosts; ++w) sys.sync(0).P(1);
     h.runtime().Delay(Seconds(5));  // confirm/janitor drain
   });
+  const auto run_start = std::chrono::steady_clock::now();
   eng.Run();
+  const double run_wall_s = SecondsSince(run_start);
   benchutil::WriteTraceArtifacts(sys, std::string("directory_") + mode.name);
 
   std::vector<double> grants;
@@ -198,6 +213,8 @@ ModeResult RunMode(int n_hosts, const ModeSpec& mode, int mode_idx) {
   r.ops = static_cast<std::int64_t>(all.size());
   r.migrations = st.Count("dsm.mgr_migrations");
   r.forwards = st.Count("dsm.mgr_forwards");
+  r.setup_wall_s = setup_wall_s;
+  r.run_wall_s = run_wall_s;
   r.correct = true;
   for (int w = 1; w < n_hosts; ++w) {
     r.correct = r.correct && worker_ok[static_cast<std::size_t>(w)];
@@ -220,24 +237,27 @@ int main() {
   bool all_ok = true;
   for (int n : {64, 128, 256}) {
     std::printf("\n-- %d hosts --\n", n);
-    std::printf("%12s %8s %10s %10s %7s %7s %7s %4s\n", "mode", "gini",
-                "p99_ms", "mean_ms", "ops", "migr", "fwd", "ok");
+    std::printf("%12s %8s %10s %10s %7s %7s %7s %4s %8s %8s\n", "mode",
+                "gini", "p99_ms", "mean_ms", "ops", "migr", "fwd", "ok",
+                "setup_s", "run_s");
     ModeResult fixed;
     for (int m = 0; m < 4; ++m) {
       const auto& spec = kModes[m];
       const ModeResult r = RunMode(n, spec, m);
-      std::printf("%12s %8.3f %10.2f %10.2f %7lld %7lld %7lld %4s\n",
-                  spec.name, r.gini, r.p99_ms, r.mean_ms,
-                  static_cast<long long>(r.ops),
-                  static_cast<long long>(r.migrations),
-                  static_cast<long long>(r.forwards),
-                  r.correct ? "yes" : "NO");
+      std::printf(
+          "%12s %8.3f %10.2f %10.2f %7lld %7lld %7lld %4s %8.3f %8.3f\n",
+          spec.name, r.gini, r.p99_ms, r.mean_ms,
+          static_cast<long long>(r.ops), static_cast<long long>(r.migrations),
+          static_cast<long long>(r.forwards), r.correct ? "yes" : "NO",
+          r.setup_wall_s, r.run_wall_s);
       const std::string p =
           "n" + std::to_string(n) + "_" + spec.name + "_";
       report.Add(p + "gini", r.gini);
       report.Add(p + "p99_ms", r.p99_ms);
       report.Add(p + "mean_ms", r.mean_ms);
       report.Add(p + "migrations", r.migrations);
+      report.Add(p + "setup_wall_s", r.setup_wall_s);
+      report.Add(p + "run_wall_s", r.run_wall_s);
       all_ok = all_ok && r.correct;
       if (m == 0) {
         fixed = r;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "mermaid/base/check.h"
-
 namespace mermaid::dsm {
 namespace {
 
@@ -23,54 +21,56 @@ std::uint64_t PageKey(PageNum p) {
 
 }  // namespace
 
-Directory::Directory(const SystemConfig& cfg, net::HostId self,
-                     std::uint16_t num_hosts, PageNum num_pages)
-    : mode_(cfg.directory_mode),
-      self_(self),
-      num_hosts_(num_hosts),
-      num_pages_(num_pages) {
+Placement::Placement(const SystemConfig& cfg, std::uint16_t num_hosts,
+                     PageNum num_pages)
+    : manager_(num_pages), first_(static_cast<std::size_t>(num_hosts) + 1, 0) {
   MERMAID_CHECK(num_hosts > 0);
-  if (mode_ != SystemConfig::DirectoryMode::kFixed) {
+  if (cfg.directory_mode == SystemConfig::DirectoryMode::kFixed) {
+    for (PageNum p = 0; p < num_pages; ++p) {
+      manager_[p] = static_cast<net::HostId>(p % num_hosts);
+    }
+  } else {
+    // Consistent-hash ring: (hash, host), sorted by hash. Each page goes to
+    // the first virtual shard clockwise of its key.
     const std::uint32_t shards = std::max<std::uint32_t>(
         1, cfg.directory_shards_per_host);
-    ring_.reserve(static_cast<std::size_t>(num_hosts) * shards);
+    std::vector<std::pair<std::uint64_t, std::uint16_t>> ring;
+    ring.reserve(static_cast<std::size_t>(num_hosts) * shards);
     for (std::uint16_t h = 0; h < num_hosts; ++h) {
       for (std::uint32_t v = 0; v < shards; ++v) {
-        const std::uint64_t key =
-            Mix64((static_cast<std::uint64_t>(h) << 32) | v);
-        ring_.emplace_back(key, h);
+        ring.emplace_back(Mix64((static_cast<std::uint64_t>(h) << 32) | v), h);
       }
     }
-    std::sort(ring_.begin(), ring_.end());
+    std::sort(ring.begin(), ring.end());
+    for (PageNum p = 0; p < num_pages; ++p) {
+      auto it = std::upper_bound(
+          ring.begin(), ring.end(), PageKey(p),
+          [](std::uint64_t k, const std::pair<std::uint64_t, std::uint16_t>& n) {
+            return k < n.first;
+          });
+      if (it == ring.end()) it = ring.begin();  // wrap
+      manager_[p] = static_cast<net::HostId>(it->second);
+    }
   }
+  // Group pages by manager; filling in page order keeps each run ascending.
+  for (net::HostId h : manager_) ++first_[h + 1];
+  for (std::size_t h = 1; h < first_.size(); ++h) first_[h] += first_[h - 1];
+  pages_.resize(num_pages);
+  std::vector<std::size_t> next(first_.begin(), first_.end() - 1);
+  for (PageNum p = 0; p < num_pages; ++p) pages_[next[manager_[p]]++] = p;
+}
+
+Directory::Directory(const SystemConfig& cfg, net::HostId self,
+                     const Placement& placement)
+    : mode_(cfg.directory_mode), self_(self), placement_(placement) {
   // Initially the base manager owns every page it manages, holding the
   // zero-filled read copy (the matching LocalPageEntry seeding lives in the
   // Host constructor).
-  for (PageNum p = 0; p < num_pages; ++p) {
-    if (BaseManagerOf(p) == self_) {
-      ManagerEntry& m = entries_[p];
-      m.owner = self_;
-      m.copyset.insert(self_);
-    }
+  for (PageNum p : placement_.PagesOf(self_)) {
+    ManagerEntry& m = entries_.try_emplace(entries_.end(), p)->second;
+    m.owner = self_;
+    m.copyset.insert(self_);
   }
-}
-
-net::HostId Directory::BaseManagerOf(PageNum p) const {
-  if (mode_ == SystemConfig::DirectoryMode::kFixed) {
-    return static_cast<net::HostId>(p % num_hosts_);
-  }
-  return RingManagerOf(p);
-}
-
-net::HostId Directory::RingManagerOf(PageNum p) const {
-  const std::uint64_t key = PageKey(p);
-  auto it = std::upper_bound(
-      ring_.begin(), ring_.end(), key,
-      [](std::uint64_t k, const std::pair<std::uint64_t, std::uint16_t>& n) {
-        return k < n.first;
-      });
-  if (it == ring_.end()) it = ring_.begin();  // wrap
-  return static_cast<net::HostId>(it->second);
 }
 
 ManagerEntry& Directory::Manager(PageNum p) {
@@ -140,8 +140,8 @@ void Directory::ClearForward(PageNum p) { forwards_.erase(p); }
 
 void Directory::WipeForCrash() {
   entries_.clear();
-  for (PageNum p = 0; p < num_pages_; ++p) {
-    if (BaseManagerOf(p) == self_) entries_[p];  // default (unknown) entry
+  for (PageNum p : placement_.PagesOf(self_)) {
+    entries_.try_emplace(entries_.end(), p);  // default (unknown) entry
   }
   forwards_.clear();
   learned_.clear();

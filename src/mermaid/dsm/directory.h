@@ -16,29 +16,73 @@
 //               point: old managers keep a forward pointer, requesters keep
 //               a learned location, and recovery rebuilds from the base.
 //
+// A real deployment evaluates the base placement once per host. In this
+// one-process simulator every host would derive the identical map, so it is
+// evaluated once per System (Placement) and shared read-only by every host's
+// Directory; lookups are bounds-checked.
+//
 // All mutable state here is guarded by the owning Host's state_mu_, exactly
 // like the PageTable it was split from.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "mermaid/base/check.h"
 #include "mermaid/dsm/page_table.h"
 #include "mermaid/dsm/types.h"
 #include "mermaid/net/network.h"
 
 namespace mermaid::dsm {
 
-class Directory {
+// The immutable page -> base-manager map of one System, plus each host's
+// base-managed pages in ascending order. Safe to read without locks.
+class Placement {
  public:
-  Directory(const SystemConfig& cfg, net::HostId self, std::uint16_t num_hosts,
+  Placement(const SystemConfig& cfg, std::uint16_t num_hosts,
             PageNum num_pages);
 
-  // --- static base placement (pure function; safe without locks) ---------
-  net::HostId BaseManagerOf(PageNum p) const;
+  net::HostId BaseManagerOf(PageNum p) const {
+    MERMAID_CHECK(p < manager_.size());
+    return manager_[p];
+  }
+  // Host h's base-managed pages, ascending.
+  std::span<const PageNum> PagesOf(net::HostId h) const {
+    MERMAID_CHECK(h < num_hosts());
+    return std::span<const PageNum>(pages_).subspan(
+        first_[h], first_[h + 1] - first_[h]);
+  }
+
+  std::uint16_t num_hosts() const {
+    return static_cast<std::uint16_t>(first_.size() - 1);
+  }
+  PageNum num_pages() const { return static_cast<PageNum>(manager_.size()); }
+
+ private:
+  std::vector<net::HostId> manager_;  // indexed by page
+  // Pages grouped by base manager: host h's run is
+  // pages_[first_[h], first_[h + 1]).
+  std::vector<PageNum> pages_;
+  std::vector<std::size_t> first_;
+};
+
+class Directory {
+ public:
+  // `placement` must outlive the Directory (System owns both).
+  Directory(const SystemConfig& cfg, net::HostId self,
+            const Placement& placement);
+  Directory(const SystemConfig& cfg, net::HostId self,
+            const Placement&& placement) = delete;
+
+  // --- static base placement (immutable; safe without locks) -------------
+  net::HostId BaseManagerOf(PageNum p) const {
+    return placement_.BaseManagerOf(p);
+  }
   bool BaseManagedHere(PageNum p) const { return BaseManagerOf(p) == self_; }
+  const Placement& placement() const { return placement_; }
 
   // --- this host's manager entries ----------------------------------------
   // Under kFixed/kSharded an entry exists iff BaseManagedHere(p); under
@@ -85,20 +129,14 @@ class Directory {
   // forward pointer and learned location is forgotten.
   void WipeForCrash();
 
-  PageNum num_pages() const { return num_pages_; }
   bool dynamic() const {
     return mode_ == SystemConfig::DirectoryMode::kDynamic;
   }
 
  private:
-  net::HostId RingManagerOf(PageNum p) const;
-
   SystemConfig::DirectoryMode mode_;
   net::HostId self_;
-  std::uint16_t num_hosts_;
-  PageNum num_pages_;
-  // Consistent-hash ring: (hash, host), sorted by hash. Empty under kFixed.
-  std::vector<std::pair<std::uint64_t, std::uint16_t>> ring_;
+  const Placement& placement_;
   std::map<PageNum, ManagerEntry> entries_;
   std::map<PageNum, Forward> forwards_;
   std::map<PageNum, std::pair<net::HostId, std::uint32_t>> learned_;

@@ -36,7 +36,7 @@ SimDuration FaultBackoff(const SystemConfig& cfg, int round) {
 
 Host::Host(sim::Runtime& rt, net::Network& net, const SystemConfig& cfg,
            const arch::TypeRegistry& registry, net::HostId self,
-           const arch::ArchProfile* profile, std::uint16_t num_hosts,
+           const arch::ArchProfile* profile, const Placement& placement,
            std::uint32_t page_bytes, CoherenceReferee* referee)
     : rt_(rt),
       net_(net),
@@ -44,7 +44,7 @@ Host::Host(sim::Runtime& rt, net::Network& net, const SystemConfig& cfg,
       registry_(registry),
       self_(self),
       profile_(profile),
-      num_hosts_(num_hosts),
+      num_hosts_(placement.num_hosts()),
       page_bytes_(page_bytes),
       referee_(referee),
       endpoint_(rt, net, self, profile,
@@ -55,20 +55,17 @@ Host::Host(sim::Runtime& rt, net::Network& net, const SystemConfig& cfg,
                   return c;
                 }()),
       mem_(cfg.region_bytes, 0),
-      ptable_(static_cast<PageNum>(cfg.region_bytes / page_bytes)),
-      dir_(cfg, self, num_hosts,
-           static_cast<PageNum>(cfg.region_bytes / page_bytes)),
+      ptable_(placement.num_pages()),
+      dir_(cfg, self, placement),
       migrate_chan_(rt),
       cpu_busy_until_(profile->cpu_count, 0) {
   // The base manager starts out owning every page it manages, holding the
   // zero-filled read copy (the manager entries themselves are seeded by the
   // Directory constructor).
-  for (PageNum p = 0; p < ptable_.num_pages(); ++p) {
-    if (dir_.BaseManagedHere(p)) {
-      ptable_.Local(p).access = Access::kRead;
-      ptable_.Local(p).owned = true;
-      if (referee_ != nullptr) referee_->OnInstall(self_, p, 0, Access::kRead);
-    }
+  for (PageNum p : placement.PagesOf(self_)) {
+    ptable_.Local(p).access = Access::kRead;
+    ptable_.Local(p).owned = true;
+    if (referee_ != nullptr) referee_->OnInstall(self_, p, 0, Access::kRead);
   }
 }
 
@@ -1121,6 +1118,10 @@ bool Host::FaultGroupFetch(PageNum first, PageNum last,
       stats_.Hist("dsm.fault_hops", static_cast<double>(hops));
       if (telem != nullptr) telem->hops += hops;
       for (GroupReplyEntry& e : es) {
+        if (e.page < first || e.page >= last) {
+          stats_.Inc("dsm.malformed");  // never requested in this group
+          continue;
+        }
         if (e.status == 0) {
           stats_.Inc("dsm.group_fetch_busy");  // falls back to FaultOne
           continue;
@@ -2110,7 +2111,7 @@ void Host::HandleOwnerFetch(net::RequestContext ctx, bool is_write) {
   for (auto& h : to_invalidate) h = r.U16();
   net::HostId mgr = 0;
   if (dir_.dynamic()) mgr = r.U16();  // granting manager, echoed back
-  if (!r.ok()) {
+  if (!r.ok() || p >= ptable_.num_pages()) {
     stats_.Inc("dsm.malformed");
     return;
   }
@@ -2510,7 +2511,7 @@ void Host::HandleGroupConfirm(net::RequestContext ctx) {
 void Host::HandleInvalidate(net::RequestContext ctx) {
   base::WireReader r(ctx.body());
   const PageNum p = r.U32();
-  if (!r.ok()) {
+  if (!r.ok() || p >= ptable_.num_pages()) {
     stats_.Inc("dsm.malformed");
     return;
   }
@@ -3116,7 +3117,7 @@ void Host::HandleDiffFlush(net::RequestContext ctx) {
   }
   const std::span<const std::uint8_t> raw = r.Raw(total);
   if (!r.ok() || !sane || !cfg_.release_consistency ||
-      !dir_.BaseManagedHere(p)) {
+      p >= ptable_.num_pages() || !dir_.BaseManagedHere(p)) {
     stats_.Inc("dsm.malformed");
     return;
   }
@@ -3748,9 +3749,8 @@ void Host::HandleRecoveryQuery(net::RequestContext ctx) {
       claims.push_back(c);
     };
     if (wanted.empty()) {
-      for (PageNum p = 0; p < ptable_.num_pages(); ++p) {
-        if (dir_.BaseManagerOf(p) != mgr) continue;
-        emit(p);
+      if (mgr < num_hosts_) {
+        for (PageNum p : dir_.placement().PagesOf(mgr)) emit(p);
       }
     } else {
       for (PageNum p : wanted) {

@@ -53,9 +53,11 @@ namespace mermaid::dsm {
 
 class Host {
  public:
+  // `placement` is the System's shared page -> base-manager map; it must
+  // outlive the Host.
   Host(sim::Runtime& rt, net::Network& net, const SystemConfig& cfg,
        const arch::TypeRegistry& registry, net::HostId self,
-       const arch::ArchProfile* profile, std::uint16_t num_hosts,
+       const arch::ArchProfile* profile, const Placement& placement,
        std::uint32_t page_bytes, CoherenceReferee* referee);
 
   // Registers protocol handlers and starts the receive daemon.
@@ -212,12 +214,6 @@ class Host {
   // (dynamic directory) — the caller forwards the type-set there.
   std::optional<net::HostId> ApplyTypeSet(PageNum p, arch::TypeId type,
                                           std::uint32_t alloc_bytes);
-
-  // Pure base-placement lookup (fixed modulo or consistent-hash ring); the
-  // same on every host, safe without locks.
-  net::HostId BaseManagerOf(PageNum p) const {
-    return dir_.BaseManagerOf(p);
-  }
 
   // Transfers granted in this host's manager role over its lifetime (plain
   // counter, not a stats key, so knobs-off registries stay bit-identical).

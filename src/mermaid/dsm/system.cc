@@ -31,7 +31,9 @@ System::System(sim::Runtime& rt, SystemConfig cfg,
     : rt_(rt),
       cfg_(cfg),
       tracer_(std::make_unique<trace::Tracer>(cfg.trace_capacity)),
-      page_bytes_(ResolvePageBytes(cfg, host_profiles)) {
+      page_bytes_(ResolvePageBytes(cfg, host_profiles)),
+      placement_(cfg, static_cast<std::uint16_t>(host_profiles.size()),
+                 static_cast<PageNum>(cfg.region_bytes / page_bytes_)) {
   MERMAID_CHECK(!host_profiles.empty());
   MERMAID_CHECK(cfg_.region_bytes % page_bytes_ == 0);
   // Dynamic distributed managers move a page's serialization point with its
@@ -52,7 +54,7 @@ System::System(sim::Runtime& rt, SystemConfig cfg,
   const auto num_hosts = static_cast<std::uint16_t>(host_profiles.size());
   for (std::uint16_t i = 0; i < num_hosts; ++i) {
     hosts_.push_back(std::make_unique<Host>(
-        rt, *network_, cfg_, registry_, i, host_profiles[i], num_hosts,
+        rt, *network_, cfg_, registry_, i, host_profiles[i], placement_,
         page_bytes_, &referee_));
     hosts_.back()->SetTracer(tracer_.get());
     // Per-message-class wire accounting (reqrep.tx_msgs.<class> /
@@ -143,7 +145,7 @@ void System::AllocWorker() {
     // Push authoritative type/extent to each touched page's manager before
     // publishing the address (so grants always carry current extents).
     for (PageNum p : result->touched_pages) {
-      net::HostId mgr = h0.BaseManagerOf(p);
+      net::HostId mgr = placement_.BaseManagerOf(p);
       const std::uint32_t alloc_bytes = allocator_->AllocBytesOfPage(p);
       if (mgr == 0) {
         auto fwd = h0.ApplyTypeSet(p, req->type, alloc_bytes);
@@ -266,7 +268,9 @@ void System::RestartHostRecover(net::HostId h) {
   // grants carry correct type/extent information again.
   allocator_->ForEachTypedPage(
       [&](PageNum p, arch::TypeId type, std::uint32_t alloc_bytes) {
-        if (host.BaseManagerOf(p) == h) host.ApplyTypeSet(p, type, alloc_bytes);
+        if (placement_.BaseManagerOf(p) == h) {
+          host.ApplyTypeSet(p, type, alloc_bytes);
+        }
       });
   host.RunManagerRecovery();
 }

@@ -26,6 +26,7 @@
 #include "mermaid/arch/type_registry.h"
 #include "mermaid/dsm/allocator.h"
 #include "mermaid/dsm/central.h"
+#include "mermaid/dsm/directory.h"
 #include "mermaid/dsm/host.h"
 #include "mermaid/dsm/referee.h"
 #include "mermaid/dsm/types.h"
@@ -131,6 +132,9 @@ class System {
   SystemConfig cfg_;
   std::unique_ptr<trace::Tracer> tracer_;
   std::uint32_t page_bytes_;
+  // Page -> base manager, built once and read by every host's Directory;
+  // declared before hosts_ so it outlives them.
+  const Placement placement_;
   arch::TypeRegistry registry_;
   CoherenceReferee referee_;
   std::unique_ptr<net::Network> network_;

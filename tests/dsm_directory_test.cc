@@ -7,6 +7,7 @@
 // reclaim of entries whose adopted manager died. The chaos scenario turns
 // every knob on at once under 30% loss with a crash of the shard-heaviest
 // host, and runs twice to prove the whole stack is still deterministic.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -22,6 +23,8 @@
 #include "mermaid/dsm/directory.h"
 #include "mermaid/dsm/system.h"
 #include "mermaid/sim/engine.h"
+
+#include "digest.h"
 
 namespace mermaid::dsm {
 namespace {
@@ -43,17 +46,64 @@ SystemConfig DirConfig(std::uint64_t seed) {
   return cfg;
 }
 
-// Every host must derive the identical shard map from (num_hosts, shards)
-// alone — the ring is the coordination-free replacement for p % N.
-TEST(DirScale, ShardMapIsDeterministicAcrossHosts) {
-  SystemConfig cfg;
-  cfg.directory_mode = SystemConfig::DirectoryMode::kSharded;
-  constexpr std::uint16_t kHosts = 64;
-  constexpr PageNum kPages = 4096;
-  Directory d0(cfg, /*self=*/0, kHosts, kPages);
-  Directory d63(cfg, /*self=*/63, kHosts, kPages);
-  for (PageNum p = 0; p < kPages; ++p) {
-    ASSERT_EQ(d0.BaseManagerOf(p), d63.BaseManagerOf(p)) << "page " << p;
+// FNV-1a of "m0,m1,...," where m_p = BaseManagerOf(p) in decimal.
+std::uint64_t PlacementDigest(const Placement& pl) {
+  std::string s;
+  for (PageNum p = 0; p < pl.num_pages(); ++p) {
+    s += std::to_string(pl.BaseManagerOf(p));
+    s += ',';
+  }
+  return testutil::Fnv1a(s);
+}
+
+// The ring is a pure function of (num_hosts, shards): it must keep mapping
+// every page to the same base manager it always did. The digests were taken
+// from the per-host ring the shared Placement replaced; PagesOf must
+// partition the pages into ascending per-host runs that agree with
+// BaseManagerOf.
+TEST(DirScale, PlacementReproducesPinnedShardMaps) {
+  struct Case {
+    SystemConfig::DirectoryMode mode;
+    std::uint32_t shards;
+    std::uint16_t hosts;
+    PageNum pages;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {SystemConfig::DirectoryMode::kSharded, 8, 64, 4096,
+       0x49778ee06cb68752ull},
+      // The perfbench fleet_zipf / bench_directory fleet.
+      {SystemConfig::DirectoryMode::kSharded, 32, 256, 16384,
+       0x976a4c34cdeb1b7eull},
+      // The DirChaos config (8 is the default shards per host).
+      {SystemConfig::DirectoryMode::kDynamic, 8, 8, 64,
+       0x988ed7b4b1cb369bull},
+  };
+  for (const Case& c : cases) {
+    SystemConfig cfg;
+    cfg.directory_mode = c.mode;
+    cfg.directory_shards_per_host = c.shards;
+    const Placement pl(cfg, c.hosts, c.pages);
+    ASSERT_EQ(pl.num_hosts(), c.hosts);
+    ASSERT_EQ(pl.num_pages(), c.pages);
+    EXPECT_EQ(PlacementDigest(pl), c.digest)
+        << c.hosts << " hosts x " << c.shards << " shards x " << c.pages
+        << " pages";
+    std::vector<int> seen(c.pages, 0);
+    for (net::HostId h = 0; h < c.hosts; ++h) {
+      const auto pages = pl.PagesOf(h);
+      for (std::size_t i = 0; i < pages.size(); ++i) {
+        ASSERT_LT(pages[i], c.pages);
+        if (i > 0) {
+          ASSERT_LT(pages[i - 1], pages[i]) << "host " << h;
+        }
+        ASSERT_EQ(pl.BaseManagerOf(pages[i]), h) << "page " << pages[i];
+        ++seen[pages[i]];
+      }
+    }
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+              static_cast<std::ptrdiff_t>(c.pages))
+        << "PagesOf must list every page exactly once";
   }
 }
 
@@ -65,9 +115,9 @@ TEST(DirScale, ShardedRingBreaksStrideAliasing) {
   constexpr std::uint16_t kHosts = 64;
   constexpr PageNum kPages = 64 * 256;
   constexpr PageNum kStride = kHosts / 4;  // 16
-  Directory fixed(cfg, 0, kHosts, kPages);
+  const Placement fixed(cfg, kHosts, kPages);
   cfg.directory_mode = SystemConfig::DirectoryMode::kSharded;
-  Directory sharded(cfg, 0, kHosts, kPages);
+  const Placement sharded(cfg, kHosts, kPages);
 
   std::set<net::HostId> fixed_mgrs, sharded_mgrs;
   for (PageNum p = 0; p < kPages; p += kStride) {
@@ -300,9 +350,9 @@ TEST(DirScale, MigrateMidFaultCompletes) {
 // (host 0 runs the sync server and must not be crashed).
 PageNum PickPageManagedBy(const SystemConfig& cfg, std::uint16_t num_hosts,
                           PageNum pages, net::HostId want) {
-  Directory replica(cfg, /*self=*/0, num_hosts, pages);
+  const Placement placement(cfg, num_hosts, pages);
   for (PageNum p = 0; p < pages; ++p) {
-    if (replica.BaseManagerOf(p) == want) return p;
+    if (placement.BaseManagerOf(p) == want) return p;
   }
   ADD_FAILURE() << "no page managed by host " << want;
   return 0;
@@ -453,9 +503,9 @@ ChaosOutcome RunDirChaos(std::uint64_t seed) {
 
   // The crash victim is the shard-heaviest host (most base-managed pages)
   // among hosts 1..N-1 — host 0 carries the sync server.
-  Directory replica(cfg, 0, kHosts, kPages);
+  const Placement placement(cfg, kHosts, kPages);
   std::vector<std::uint32_t> load(kHosts, 0);
-  for (PageNum p = 0; p < kPages; ++p) ++load[replica.BaseManagerOf(p)];
+  for (PageNum p = 0; p < kPages; ++p) ++load[placement.BaseManagerOf(p)];
   net::HostId victim = 1;
   for (net::HostId h = 2; h < kHosts; ++h) {
     if (load[h] > load[victim]) victim = h;

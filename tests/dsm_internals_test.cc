@@ -3,6 +3,7 @@
 // malformed traffic.
 #include <gtest/gtest.h>
 
+#include "mermaid/base/wire.h"
 #include "mermaid/dsm/directory.h"
 #include "mermaid/dsm/page_table.h"
 #include "mermaid/dsm/referee.h"
@@ -14,7 +15,8 @@ namespace {
 
 TEST(Directory, FixedDistributedManagerAssignment) {
   SystemConfig cfg;  // directory_mode defaults to kFixed: the paper's p % N
-  Directory dir(cfg, /*self=*/1, /*num_hosts=*/3, /*num_pages=*/10);
+  const Placement placement(cfg, /*num_hosts=*/3, /*num_pages=*/10);
+  Directory dir(cfg, /*self=*/1, placement);
   for (PageNum p = 0; p < 10; ++p) {
     EXPECT_EQ(dir.BaseManagerOf(p), p % 3);
     EXPECT_EQ(dir.BaseManagedHere(p), p % 3 == 1);
@@ -35,7 +37,8 @@ TEST(Directory, FixedDistributedManagerAssignment) {
 
 TEST(Directory, ForEachManagedVisitsExactlyOwnPages) {
   SystemConfig cfg;
-  Directory dir(cfg, /*self=*/2, /*num_hosts=*/4, /*num_pages=*/11);
+  const Placement placement(cfg, /*num_hosts=*/4, /*num_pages=*/11);
+  Directory dir(cfg, /*self=*/2, placement);
   std::vector<PageNum> visited;
   dir.ForEachManaged([&](PageNum p, ManagerEntry&) { visited.push_back(p); });
   EXPECT_EQ(visited, (std::vector<PageNum>{2, 6, 10}));
@@ -127,6 +130,51 @@ TEST(Robustness, GarbagePacketsAreDroppedNotFatal) {
     EXPECT_EQ(h.Read<std::int32_t>(0), 777);
   });
   eng.Run();
+}
+
+// Well-formed invalidate, owner-fetch and diff-flush requests naming one
+// page past the region: each must be counted malformed and dropped, never
+// used to index the page table, the manager map or the placement.
+TEST(Robustness, OutOfRangePageFromTheWireIsDropped) {
+  sim::Engine eng;
+  SystemConfig cfg;
+  cfg.region_bytes = 64 * 1024;  // 64 one-KB Firefly pages
+  cfg.release_consistency = true;  // diff flushes are served only under RC
+  System sys(eng, cfg, {&arch::FireflyProfile(), &arch::FireflyProfile()});
+  sys.Start();
+  constexpr PageNum kPast = 64;
+
+  sys.SpawnThread(1, "rogue", [&](Host& h) {
+    base::WireWriter inv;
+    inv.U32(kPast);
+    h.endpoint().Notify(0, kOpInvalidate, std::move(inv).Take());
+
+    base::WireWriter fetch;
+    fetch.U8(kToOwner);
+    fetch.U32(kPast);
+    fetch.U64(1);  // op_id
+    fetch.U64(1);  // new_version
+    fetch.U8(1);   // data_needed
+    fetch.U16(arch::TypeRegistry::kInt);
+    fetch.U32(1024);  // alloc_bytes
+    fetch.U16(0);     // no hosts to invalidate
+    h.endpoint().Notify(0, kOpReadReq, std::move(fetch).Take());
+
+    base::WireWriter diff;
+    diff.U32(kPast);
+    diff.U64(1);  // flush seq
+    diff.U16(arch::TypeRegistry::kInt);
+    diff.U8(arch::RepClassByte(h.profile()));
+    diff.U16(1);  // one range: bytes [0, 4)
+    diff.U32(0);
+    diff.U32(4);
+    diff.U32(0x01020304);
+    h.endpoint().Notify(0, kOpDiffFlush, std::move(diff).Take());
+
+    h.runtime().Delay(Seconds(1));
+  });
+  eng.Run();
+  EXPECT_EQ(sys.host(0).stats().Count("dsm.malformed"), 3);
 }
 
 // Region-boundary behavior: a fault group near the end of the region stops
