@@ -11,18 +11,26 @@
 # BENCH_summary.json (a {"benches": [...]} array) so CI uploads a single
 # machine-readable artifact covering the whole sweep.
 #
-# Usage: bench/run_all.sh [--merge-only] [build-dir] [output-dir]
-#   --merge-only  skip running benches; just rebuild BENCH_summary.json
-#                 from the JSON already present in output-dir
-#   build-dir     defaults to ./build
-#   output-dir    defaults to <build-dir>/bench-results
+# Usage: bench/run_all.sh [--merge-only | --check-golden]
+#                         [build-dir] [output-dir]
+#   --merge-only    skip running benches; just rebuild BENCH_summary.json
+#                   from the JSON already present in output-dir
+#   --check-golden  after the sweep, compare every modeled field with
+#                   bench/golden/modeled.json and fail on any changed,
+#                   missing or new field. The sweep's own modeled fields are
+#                   written to output-dir/modeled.json in the golden format;
+#                   a change that moves modeled results on purpose copies
+#                   that file over the golden one and says why.
+#   build-dir       defaults to ./build
+#   output-dir      defaults to <build-dir>/bench-results
 set -eu
 
-MERGE_ONLY=0
-if [ "${1:-}" = "--merge-only" ]; then
-    MERGE_ONLY=1
-    shift
-fi
+MODE=run
+case "${1:-}" in
+    --merge-only) MODE=merge; shift ;;
+    --check-golden) MODE=check; shift ;;
+esac
+GOLDEN="$(cd "$(dirname "$0")" && pwd)/golden/modeled.json"
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-$BUILD_DIR/bench-results}"
@@ -51,7 +59,88 @@ merge_summary() {
     echo "merged summary: $summary"
 }
 
-if [ "$MERGE_ONLY" = 1 ]; then
+# Prints one "<bench>\t<key>\t<value>" line per modeled field of every
+# BENCH_*.json in the output directory. Host-time fields vary run to run and
+# are skipped: every key containing "wall" (wall_clock_s, *_wall_s, wall_s)
+# plus events_per_s and ns_per_switch. Relies on JsonReport's layout of one
+# "key": value pair per line.
+modeled_fields() {
+    for f in "$OUT_DIR"/BENCH_*.json; do
+        [ -f "$f" ] || continue
+        case "$f" in *BENCH_summary.json) continue ;; esac
+        bench=$(basename "$f" .json)
+        awk -v bench="${bench#BENCH_}" '
+            match($0, /^ +"[^"]+": /) {
+                key = substr($0, 1, RLENGTH - 3); sub(/^ +"/, "", key)
+                val = substr($0, RLENGTH + 1); sub(/,$/, "", val)
+                if (val == "{" || key == "name" || key ~ /wall/ ||
+                    key == "events_per_s" || key == "ns_per_switch") next
+                printf "%s\t%s\t%s\n", bench, key, val
+            }' "$f"
+    done | LC_ALL=C sort
+}
+
+# Same lines, read back from a golden file ({"<bench>": {"<key>": value}}).
+golden_fields() {
+    awk '
+        /^  "[^"]+": \{$/ {
+            bench = $0; sub(/^  "/, "", bench); sub(/": \{$/, "", bench)
+        }
+        match($0, /^    "[^"]+": /) {
+            key = substr($0, 1, RLENGTH - 3); sub(/^ +"/, "", key)
+            val = substr($0, RLENGTH + 1); sub(/,$/, "", val)
+            printf "%s\t%s\t%s\n", bench, key, val
+        }' "$1" | LC_ALL=C sort
+}
+
+# Renders sorted field lines as the golden file's JSON.
+golden_json() {
+    awk -F '\t' '
+        BEGIN { printf "{" }
+        $1 != cur {
+            if (cur != "") printf "\n  },"
+            printf "\n  \"%s\": {", $1
+            cur = $1; sep = ""
+        }
+        { printf "%s\n    \"%s\": %s", sep, $2, $3; sep = "," }
+        END { if (cur != "") printf "\n  }"; printf "\n}\n" }'
+}
+
+check_golden() {
+    modeled_fields | golden_json > "$OUT_DIR/modeled.json"
+    if [ ! -f "$GOLDEN" ]; then
+        echo "golden check: no golden file at $GOLDEN" >&2
+        return 1
+    fi
+    golden_fields "$GOLDEN" > "$OUT_DIR/golden.tsv"
+    golden_fields "$OUT_DIR/modeled.json" > "$OUT_DIR/modeled.tsv"
+    if awk -F '\t' '
+        NR == FNR { want[$1 "/" $2] = $3; next }
+        {
+            k = $1 "/" $2; seen[k] = 1
+            if (!(k in want)) {
+                printf "new field     %s = %s\n", k, $3; bad = 1
+            } else if (want[k] != $3) {
+                printf "changed field %s: golden %s, now %s\n", k, want[k], $3
+                bad = 1
+            }
+        }
+        END {
+            for (k in want) {
+                if (!(k in seen)) {
+                    printf "missing field %s (golden %s)\n", k, want[k]; bad = 1
+                }
+            }
+            exit bad
+        }' "$OUT_DIR/golden.tsv" "$OUT_DIR/modeled.tsv" >&2; then
+        echo "golden check: $(wc -l < "$OUT_DIR/modeled.tsv") modeled fields match $GOLDEN"
+    else
+        echo "golden check FAILED against $GOLDEN (sweep's fields: $OUT_DIR/modeled.json)" >&2
+        return 1
+    fi
+}
+
+if [ "$MODE" = merge ]; then
     merge_summary
     exit 0
 fi
@@ -80,6 +169,9 @@ for bin in "$BENCH_DIR"/bench_*; do
 done
 
 merge_summary
+if [ "$MODE" = check ]; then
+    check_golden || status=1
+fi
 
 echo
 echo "results in $OUT_DIR:"

@@ -70,21 +70,23 @@ Host::Host(sim::Runtime& rt, net::Network& net, const SystemConfig& cfg,
 }
 
 void Host::Start() {
-  endpoint_.SetHandler(kOpReadReq, [this](net::RequestContext ctx) {
-    if (!ctx.body().empty() && ctx.body()[0] == kToOwner) {
-      HandleOwnerFetch(std::move(ctx), /*is_write=*/false);
-    } else if (!ctx.body().empty() && ctx.body()[0] == kToHintedOwner) {
-      HandleHintedFetch(std::move(ctx));
+  // The role byte picks the leg of a transfer request; any other value is
+  // malformed and dropped.
+  const auto transfer = [this](net::RequestContext ctx, bool is_write) {
+    const std::uint8_t role = ctx.body().empty() ? kToManager : ctx.body()[0];
+    if (role == kToOwner) {
+      HandleOwnerFetch(std::move(ctx), is_write);
+    } else if (role == kToManager) {
+      HandleTransferReq(std::move(ctx), is_write);
     } else {
-      HandleTransferReq(std::move(ctx), /*is_write=*/false);
+      stats_.Inc("dsm.malformed");
     }
+  };
+  endpoint_.SetHandler(kOpReadReq, [transfer](net::RequestContext ctx) {
+    transfer(std::move(ctx), /*is_write=*/false);
   });
-  endpoint_.SetHandler(kOpWriteReq, [this](net::RequestContext ctx) {
-    if (!ctx.body().empty() && ctx.body()[0] == kToOwner) {
-      HandleOwnerFetch(std::move(ctx), /*is_write=*/true);
-    } else {
-      HandleTransferReq(std::move(ctx), /*is_write=*/true);
-    }
+  endpoint_.SetHandler(kOpWriteReq, [transfer](net::RequestContext ctx) {
+    transfer(std::move(ctx), /*is_write=*/true);
   });
   endpoint_.SetHandler(kOpInvalidate, [this](net::RequestContext ctx) {
     HandleInvalidate(std::move(ctx));
@@ -101,21 +103,6 @@ void Host::Start() {
   endpoint_.SetHandler(kOpGrantExtend, [this](net::RequestContext ctx) {
     HandleGrantExtend(std::move(ctx));
   });
-  endpoint_.SetHandler(kOpGroupFetch, [this](net::RequestContext ctx) {
-    HandleGroupFetch(std::move(ctx));
-  });
-  endpoint_.SetHandler(kOpGroupConfirm, [this](net::RequestContext ctx) {
-    HandleGroupConfirm(std::move(ctx));
-  });
-  endpoint_.SetHandler(kOpInvalidateBatch, [this](net::RequestContext ctx) {
-    HandleInvalidateBatch(std::move(ctx));
-  });
-  endpoint_.SetHandler(kOpHintConfirm, [this](net::RequestContext ctx) {
-    HandleHintConfirm(std::move(ctx));
-  });
-  endpoint_.SetHandler(kOpHintCovered, [this](net::RequestContext ctx) {
-    HandleHintCovered(std::move(ctx));
-  });
   endpoint_.SetHandler(kOpRecoveryQuery, [this](net::RequestContext ctx) {
     HandleRecoveryQuery(std::move(ctx));
   });
@@ -131,31 +118,22 @@ void Host::Start() {
   endpoint_.SetHandler(kOpMgrMigrate, [this](net::RequestContext ctx) {
     HandleMgrMigrate(std::move(ctx));
   });
-  if (cfg_.crash_recovery && (cfg_.probable_owner || dir_.dynamic())) {
-    // A reincarnated peer lost every copy it ever owned — and, under the
-    // dynamic directory, every manager entry it ever adopted. Drop the
-    // hints and learned manager locations naming it the moment its new
+  if (cfg_.crash_recovery && dir_.dynamic()) {
+    // A reincarnated peer lost every manager entry it ever adopted. Drop
+    // the learned manager locations naming it the moment its new
     // incarnation is observed, and queue a reclaim for any base-managed
     // page whose forward points at the dead life. The endpoint invokes the
     // observer outside its own locks; state_mu_ is safe here.
     endpoint_.SetPeerIncObserver([this](net::HostId h, std::uint32_t) {
-      std::size_t cleared = 0;
       std::size_t forgot = 0;
       {
         std::lock_guard<std::mutex> lk(state_mu_);
-        if (cfg_.probable_owner) cleared = ptable_.ClearHintsForHost(h);
-        if (dir_.dynamic()) {
-          forgot = dir_.ForgetManagersAt(h);
-          std::vector<PageNum> stale;
-          dir_.ForEachForward([&](PageNum p, const Directory::Forward& f) {
-            if (f.to == h) stale.push_back(p);
-          });
-          for (PageNum p : stale) QueueReclaimLocked(p);
-        }
-      }
-      if (cleared > 0) {
-        stats_.Inc("dsm.hints_cleared_reincarnation",
-                   static_cast<std::int64_t>(cleared));
+        forgot = dir_.ForgetManagersAt(h);
+        std::vector<PageNum> stale;
+        dir_.ForEachForward([&](PageNum p, const Directory::Forward& f) {
+          if (f.to == h) stale.push_back(p);
+        });
+        for (PageNum p : stale) QueueReclaimLocked(p);
       }
       if (forgot > 0) {
         stats_.Inc("dsm.mgr_learned_cleared_reincarnation",
@@ -330,12 +308,12 @@ void Host::FaultGroup(PageNum p, Access needed) {
   const PageNum last = std::min<PageNum>(first + count, total);
   FaultTelemetry telem;
   if (cfg_.release_consistency && needed == Access::kWrite) {
-    // Release consistency (§12): a write fault never invalidates the
+    // Release consistency (§11): a write fault never invalidates the
     // copyset. Fault the page in for reading, then twin it and write
     // locally; the deferred writes flush to the home at the next release.
     for (PageNum q = first; q < last; ++q) {
       for (;;) {
-        FaultOne(q, Access::kRead, &telem, nullptr);
+        FaultOne(q, Access::kRead, telem);
         const RcTwinResult tr = RcTwinPage(q);
         if (tr == RcTwinResult::kOk) break;
         if (tr == RcTwinResult::kCapacity) RcFlushTwins();
@@ -343,18 +321,9 @@ void Host::FaultGroup(PageNum p, Access needed) {
         // flushed: refault and try again.
       }
     }
-  } else if (cfg_.group_fetch && needed == Access::kRead && last - first > 1) {
-    if (!FaultGroupFetch(first, last, &telem)) return;  // shutdown
-  } else if (cfg_.coalesced_invalidation && needed == Access::kWrite &&
-             last - first > 1) {
-    std::vector<DeferredWrite> deferred;
-    for (PageNum q = first; q < last; ++q) {
-      FaultOne(q, needed, &telem, &deferred);
-    }
-    if (!FlushDeferredWrites(std::move(deferred), &telem)) return;
   } else {
     for (PageNum q = first; q < last; ++q) {
-      FaultOne(q, needed, &telem, nullptr);
+      FaultOne(q, needed, telem);
     }
   }
   stats_.Sample("dsm.fault_delay_ms", ToMillis(rt_.Now() - start));
@@ -363,8 +332,7 @@ void Host::FaultGroup(PageNum p, Access needed) {
   stats_.Hist("dsm.vm_fault_rtts", static_cast<double>(telem.rtts));
 }
 
-void Host::FaultOne(PageNum p, Access needed, FaultTelemetry* telem,
-                    std::vector<DeferredWrite>* deferred) {
+void Host::FaultOne(PageNum p, Access needed, FaultTelemetry& telem) {
   int retries = 0;
   for (;;) {
     bool start_fetch = false;
@@ -402,8 +370,8 @@ void Host::FaultOne(PageNum p, Access needed, FaultTelemetry* telem,
     }
     const FaultOutcome outcome =
         managed_here
-            ? FaultViaLocalManager(p, is_write, telem, deferred, life)
-            : FaultViaRemoteManager(p, is_write, telem, deferred, life);
+            ? FaultViaLocalManager(p, is_write, telem, life)
+            : FaultViaRemoteManager(p, is_write, telem, life);
 
     std::vector<sim::Chan<bool>> waiters;
     {
@@ -436,19 +404,15 @@ void Host::FaultOne(PageNum p, Access needed, FaultTelemetry* telem,
       case FaultOutcome::kDone:
         TraceEv(trace::EventKind::kFaultEnd, p, 0, fault_ev,
                 is_write ? 1 : 0);
-        // A deferred (coalesced-invalidation) write grant leaves the page
-        // read-only until FlushDeferredWrites finalizes it; re-checking
-        // access here would refault forever.
-        if (deferred != nullptr && is_write) return;
         retries = 0;  // loop re-checks access (it may have been invalidated)
         break;
     }
   }
 }
 
-Host::FaultOutcome Host::FaultViaLocalManager(
-    PageNum p, bool is_write, FaultTelemetry* telem,
-    std::vector<DeferredWrite>* deferred, std::uint32_t life) {
+Host::FaultOutcome Host::FaultViaLocalManager(PageNum p, bool is_write,
+                                              FaultTelemetry& telem,
+                                              std::uint32_t life) {
   ManagerGrant grant;
   bool granted_inline = false;
   sim::Chan<ManagerGrant> grant_chan;
@@ -563,7 +527,7 @@ Host::FaultOutcome Host::FaultViaLocalManager(
       return FaultOutcome::kRetry;
     }
     reply = DecodeFetchReply(resp.body);
-    if (telem != nullptr) telem->rtts += 1;
+    telem.rtts += 1;
     if (reply.owner_lost) {
       // The owner of record restarted with amnesia; repair our own manager
       // entry (promote a surviving copy or apply the lost-page policy) and
@@ -577,9 +541,9 @@ Host::FaultOutcome Host::FaultViaLocalManager(
   // is request + reply (the R -> O pattern; the manager leg was local).
   const std::int64_t hops = grant.owner == self_ ? 0 : 2;
   stats_.Hist("dsm.fault_hops", static_cast<double>(hops));
-  if (telem != nullptr) telem->hops += hops;
+  telem.hops += hops;
 
-  switch (CompleteTransfer(p, is_write, reply, deferred, life)) {
+  switch (CompleteTransfer(p, is_write, reply, life)) {
     case TransferResult::kShutdown:
       return FaultOutcome::kShutdown;
     case TransferResult::kFenced:
@@ -594,25 +558,13 @@ Host::FaultOutcome Host::FaultViaLocalManager(
     case TransferResult::kOk:
       break;
   }
-  if (deferred != nullptr && is_write) {
-    // Parked: the entry stays busy (shielding the page) until
-    // FlushDeferredWrites finalizes and commits it.
-    return FaultOutcome::kDone;
-  }
   ManagerCommit(p, grant.op_id, self_, is_write);
   return FaultOutcome::kDone;
 }
 
-Host::FaultOutcome Host::FaultViaRemoteManager(
-    PageNum p, bool is_write, FaultTelemetry* telem,
-    std::vector<DeferredWrite>* deferred, std::uint32_t life) {
-  // Under release consistency ownership never migrates (owner == manager ==
-  // home), so the normal path is already one round trip and a hint buys
-  // nothing — while a hint serve would bypass the manager's busy
-  // serialization that keeps served versions and diff flushes ordered.
-  if (cfg_.probable_owner && !is_write && !cfg_.release_consistency) {
-    if (auto out = FaultViaHint(p, telem, life)) return *out;
-  }
+Host::FaultOutcome Host::FaultViaRemoteManager(PageNum p, bool is_write,
+                                               FaultTelemetry& telem,
+                                               std::uint32_t life) {
   base::WireWriter w;
   w.U8(kToManager);
   w.U32(p);
@@ -648,7 +600,7 @@ Host::FaultOutcome Host::FaultViaRemoteManager(
     return FaultOutcome::kRetry;
   }
   FetchReply reply = DecodeFetchReply(resp.body);
-  if (telem != nullptr) telem->rtts += 1;
+  telem.rtts += 1;
   if (reply.mgr_redirect) {
     // The addressed host no longer manages the page (stale location or an
     // exhausted forwarding chain); re-route to its suggestion.
@@ -704,10 +656,6 @@ Host::FaultOutcome Host::FaultViaRemoteManager(
       return FaultOutcome::kRetry;
     }
     inflight_ops_[{p, reply.op_id}] = InflightOp{is_write, reply.new_version};
-    if (cfg_.probable_owner) {
-      const net::HostId learned = is_write ? self_ : reply.owner;
-      ptable_.SetHint(p, learned, IncOf(learned));
-    }
     if (dir_.dynamic()) dir_.LearnManager(p, mgr, IncOf(mgr));
   }
   // Hop count: served by the manager itself (or an upgrade) is request +
@@ -715,8 +663,8 @@ Host::FaultOutcome Host::FaultViaRemoteManager(
   const std::int64_t hops =
       (reply.owner == mgr || reply.owner == self_) ? 2 : 3;
   stats_.Hist("dsm.fault_hops", static_cast<double>(hops));
-  if (telem != nullptr) telem->hops += hops;
-  switch (CompleteTransfer(p, is_write, reply, deferred, life)) {
+  telem.hops += hops;
+  switch (CompleteTransfer(p, is_write, reply, life)) {
     case TransferResult::kShutdown: {
       std::lock_guard<std::mutex> lk(state_mu_);
       inflight_ops_.erase({p, reply.op_id});
@@ -742,11 +690,6 @@ Host::FaultOutcome Host::FaultViaRemoteManager(
     case TransferResult::kOk:
       break;
   }
-  if (deferred != nullptr && is_write) {
-    // Parked: confirm only after FlushDeferredWrites finalizes. The op stays
-    // in inflight_ops_ so a confirm-probe answers "still working".
-    return FaultOutcome::kDone;
-  }
   RecordCompleted(p, reply.op_id, mgr, is_write);
 
   base::WireWriter cw;
@@ -758,495 +701,9 @@ Host::FaultOutcome Host::FaultViaRemoteManager(
   return FaultOutcome::kDone;
 }
 
-std::optional<Host::FaultOutcome> Host::FaultViaHint(PageNum p,
-                                                     FaultTelemetry* telem,
-                                                     std::uint32_t life) {
-  net::HostId hinted;
-  bool has_copy;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    hinted = ptable_.HintOf(p);
-    if (hinted == PageTable::kNoHint || hinted == self_) return std::nullopt;
-    if (cfg_.crash_recovery &&
-        endpoint_.PeerIncarnation(hinted) > ptable_.HintIncOf(p)) {
-      // The hinted owner has reincarnated since we learned the hint: its
-      // amnesiac copy is gone, so chasing it wastes a round trip.
-      ptable_.SetHint(p, PageTable::kNoHint);
-      stats_.Inc("dsm.hint_fenced_reincarnation");
-      return std::nullopt;
-    }
-    has_copy = ptable_.Local(p).access != Access::kNone;
-    // Open the poison window: an invalidation arriving while the hinted
-    // fetch is in flight flips this flag and the reply is discarded.
-    hint_poison_[p] = false;
-  }
-  stats_.Inc("dsm.hint_fetches");
-  const std::uint64_t hint_ev =
-      TraceEv(trace::EventKind::kHintFetch, p, 0,
-              TraceParent(trace::FaultKey(self_, p)), hinted);
-  TraceBind(trace::HintKey(self_, p), hint_ev);
-  base::WireWriter w;
-  w.U8(kToHintedOwner);
-  w.U32(p);
-  w.U8(has_copy ? 1 : 0);
-  auto resp = endpoint_.CallWithStatus(hinted, kOpReadReq, std::move(w).Take(),
-                                       net::MsgKind::kControl, DsmCallOpts());
-  bool poisoned = false;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    if (auto it = hint_poison_.find(p); it != hint_poison_.end()) {
-      poisoned = it->second;
-      hint_poison_.erase(it);
-    }
-  }
-  if (resp.status == net::CallStatus::kShutdown) {
-    return FaultOutcome::kShutdown;
-  }
-  if (telem != nullptr) telem->rtts += 1;
-  if (resp.status == net::CallStatus::kTimedOut) {
-    // The hinted host is unreachable: forget the hint and take the normal
-    // manager path this round.
-    stats_.Inc("dsm.hint_timeouts");
-    std::lock_guard<std::mutex> lk(state_mu_);
-    if (ptable_.HintOf(p) == hinted) ptable_.SetHint(p, PageTable::kNoHint);
-    return std::nullopt;
-  }
-  FetchReply reply = DecodeFetchReply(resp.body);
-  if (reply.mgr_redirect) {
-    // The hinted host bounced us toward the page's manager (dynamic
-    // directory, forwarding chain exhausted); re-route and refault.
-    stats_.Inc("dsm.mgr_redirects");
-    std::lock_guard<std::mutex> lk(state_mu_);
-    dir_.ForgetManager(p);
-    if (reply.owner < num_hosts_ && reply.owner != self_) {
-      dir_.LearnManager(p, reply.owner, IncOf(reply.owner));
-    }
-    return FaultOutcome::kRetry;
-  }
-  // The manager every manager-directed message below goes to: under the
-  // dynamic directory a real grant names its granting manager; a direct
-  // hint serve (op_id 0) has no manager leg, so fall back to the routed
-  // location.
-  net::HostId mgr;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    if (dir_.dynamic() && reply.op_id != 0) {
-      mgr = reply.mgr;
-    } else {
-      mgr = dir_.ManagerTarget(p);
-      if (mgr == self_) {
-        const Directory::Forward* fwd = dir_.ForwardOf(p);
-        mgr = fwd != nullptr ? fwd->to : self_;
-      }
-    }
-  }
-  if (reply.op_id == 0) {
-    // Hint hit: the hinted owner served directly (2 hops, no manager leg).
-    if (poisoned) {
-      // An invalidation crossed the serve in flight; the image may predate
-      // the writer's commit. Discard and refault.
-      stats_.Inc("dsm.hint_poisoned");
-      return FaultOutcome::kRetry;
-    }
-    stats_.Inc("dsm.hint_hits");
-    switch (CompleteTransfer(p, /*is_write=*/false, reply, nullptr, life)) {
-      case TransferResult::kShutdown:
-        return FaultOutcome::kShutdown;
-      case TransferResult::kFenced:
-      case TransferResult::kRejected:  // unreachable: direct serves carry data
-        return FaultOutcome::kRetry;
-      case TransferResult::kOk:
-        break;
-    }
-    {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      ptable_.SetHint(p, reply.owner, IncOf(reply.owner));
-    }
-    // Tell the manager we hold a copy so future writers invalidate us; the
-    // owner keeps us in hinted_pending_ until the manager confirms coverage.
-    // (Skipping the notify is safe — the owner's hinted_pending_ keeps us an
-    // invalidation target until a covering confirm lands somewhere.)
-    if (mgr != self_) {
-      base::WireWriter cw;
-      cw.U32(p);
-      cw.U64(reply.data_version);
-      endpoint_.Notify(mgr, kOpHintConfirm, std::move(cw).Take());
-    }
-    stats_.Hist("dsm.fault_hops", 2.0);
-    if (telem != nullptr) telem->hops += 2;
-    return FaultOutcome::kDone;
-  }
-  // Stale hint: the hinted host re-forwarded through the manager and a real
-  // grant came back. Handle it exactly like a manager-path reply.
-  stats_.Inc("dsm.hint_stale_replies");
-  if (reply.owner_lost) {
-    stats_.Inc("dsm.owner_lost_observed");
-    base::WireWriter lw;
-    lw.U32(p);
-    lw.U64(reply.op_id);
-    lw.U16(reply.owner);
-    endpoint_.CallWithStatus(mgr, kOpPageLost, std::move(lw).Take(),
-                             net::MsgKind::kControl, DsmCallOpts());
-    return FaultOutcome::kRetry;
-  }
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    if (fenced_.count({p, reply.op_id}) > 0) {
-      stats_.Inc("dsm.fenced_replies");
-      return FaultOutcome::kRetry;
-    }
-    if (cfg_.crash_recovery && life != life_) {
-      // Crashed mid-flight: see FaultViaRemoteManager — registering would
-      // leak a phantom inflight op into the fresh incarnation.
-      stats_.Inc("dsm.fenced_replies");
-      return FaultOutcome::kRetry;
-    }
-    if (cfg_.crash_recovery &&
-        (reply.op_id >> 48) < endpoint_.PeerIncarnation(mgr)) {
-      stats_.Inc("dsm.dead_epoch_grants");
-      return FaultOutcome::kRetry;
-    }
-    inflight_ops_[{p, reply.op_id}] =
-        InflightOp{/*is_write=*/false, reply.new_version};
-    ptable_.SetHint(p, reply.owner, IncOf(reply.owner));
-    if (dir_.dynamic()) dir_.LearnManager(p, mgr, IncOf(mgr));
-  }
-  switch (CompleteTransfer(p, /*is_write=*/false, reply, nullptr, life)) {
-    case TransferResult::kShutdown: {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      inflight_ops_.erase({p, reply.op_id});
-      return FaultOutcome::kShutdown;
-    }
-    case TransferResult::kFenced:
-      return FaultOutcome::kRetry;
-    case TransferResult::kRejected: {
-      base::WireWriter rw;
-      rw.U32(p);
-      rw.U64(reply.op_id);
-      rw.U8(1);  // no_copy
-      endpoint_.Notify(mgr, kOpGrantReject, std::move(rw).Take());
-      return FaultOutcome::kRetry;
-    }
-    case TransferResult::kOk:
-      break;
-  }
-  RecordCompleted(p, reply.op_id, mgr, /*is_write=*/false);
-  base::WireWriter cw;
-  cw.U32(p);
-  cw.U64(reply.op_id);
-  cw.U16(self_);
-  cw.U8(0);
-  endpoint_.Notify(mgr, kOpConfirm, std::move(cw).Take());
-  // Requester -> hinted -> manager [-> owner] -> requester.
-  const std::int64_t hops =
-      (reply.owner == mgr || reply.owner == self_) ? 3 : 4;
-  stats_.Hist("dsm.fault_hops", static_cast<double>(hops));
-  if (telem != nullptr) telem->hops += hops;
-  return FaultOutcome::kDone;
-}
-
-bool Host::FaultGroupFetch(PageNum first, PageNum last,
-                           FaultTelemetry* telem) {
-  // Claim pass: take the local fault-coalescing slot for every page this
-  // batch will fetch. Pages another thread is already fetching, and
-  // locally-managed pages whose entry is busy, are left to the per-page
-  // fallback at the end.
-  std::vector<PageNum> claimed;
-  std::map<net::HostId, std::vector<GroupReqEntry>> calls;
-  struct LocalGrant {
-    PageNum page = 0;
-    ManagerGrant grant;
-    std::uint64_t data_version = 0;
-  };
-  std::vector<LocalGrant> local_grants;
-  std::uint32_t life;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    life = life_;
-    for (PageNum p = first; p < last; ++p) {
-      if (ptable_.Local(p).access >= Access::kRead) continue;
-      if (fault_inflight_[p]) continue;
-      if (dir_.ManagedHere(p)) {
-        ManagerEntry* me = dir_.FindManager(p);
-        if (recovering_ || me->busy || me->migrating) continue;
-        fault_inflight_[p] = true;
-        claimed.push_back(p);
-        const std::uint64_t fev =
-            TraceEv(trace::EventKind::kFaultStart, p, 0, 0, 0);
-        TraceBind(trace::FaultKey(self_, p), fev);
-        stats_.Inc("dsm.read_faults");
-        const bool has_copy = ptable_.Local(p).access != Access::kNone;
-        ManagerGrant g = BuildGrantLocked(p, self_, /*is_write=*/false,
-                                          has_copy);
-        if (g.owner == self_) {
-          local_grants.push_back({p, g, ptable_.Local(p).version});
-        } else {
-          GroupReqEntry e;
-          e.role = kToOwner;
-          e.page = p;
-          e.op_id = g.op_id;
-          e.new_version = g.new_version;
-          e.data_needed = !g.requester_has_copy;
-          e.type = g.type;
-          e.alloc_bytes = g.alloc_bytes;
-          e.mgr = self_;
-          calls[g.owner].push_back(e);
-        }
-      } else {
-        // Route through the directory; pages mid-reclaim (base placement
-        // with no forward) are left to the per-page fallback, which retries
-        // until the entry is rebuilt.
-        net::HostId tgt = dir_.ManagerTarget(p);
-        if (tgt == self_) {
-          const Directory::Forward* fwd = dir_.ForwardOf(p);
-          if (fwd == nullptr) continue;
-          tgt = fwd->to;
-        }
-        fault_inflight_[p] = true;
-        claimed.push_back(p);
-        const std::uint64_t fev =
-            TraceEv(trace::EventKind::kFaultStart, p, 0, 0, 0);
-        TraceBind(trace::FaultKey(self_, p), fev);
-        stats_.Inc("dsm.read_faults");
-        GroupReqEntry e;
-        e.role = kToManager;
-        e.page = p;
-        e.has_copy = ptable_.Local(p).access != Access::kNone;
-        calls[tgt].push_back(e);
-      }
-    }
-  }
-  const auto release_claims = [&] {
-    std::vector<sim::Chan<bool>> waiters;
-    {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      for (PageNum p : claimed) {
-        fault_inflight_[p] = false;
-        auto& ws = fault_waiters_[p];
-        waiters.insert(waiters.end(), ws.begin(), ws.end());
-        ws.clear();
-      }
-    }
-    for (auto& w : waiters) w.Send(true);
-  };
-
-  // Pre-granted pages this host already owns (re-animation of a retained
-  // copy): message-free, like the local-manager upgrade path.
-  for (const LocalGrant& lg : local_grants) {
-    FetchReply r;
-    r.op_id = lg.grant.op_id;
-    r.data_version = lg.data_version;
-    r.new_version = lg.grant.new_version;
-    r.owner = self_;
-    r.type = lg.grant.type;
-    r.alloc_bytes = lg.grant.alloc_bytes;
-    r.has_data = false;
-    r.data_rep = arch::RepClassByte(*profile_);
-    switch (CompleteTransfer(lg.page, /*is_write=*/false, r, nullptr, life)) {
-      case TransferResult::kShutdown:
-        release_claims();
-        return false;
-      case TransferResult::kFenced:
-        continue;  // the per-page fallback refaults it post-crash
-      case TransferResult::kRejected:
-        // Ghost self-ownership (no copy, no retained image): free the
-        // grant; the per-page fallback heals the entry and refaults.
-        ManagerRevoke(lg.page, lg.grant.op_id);
-        continue;
-      case TransferResult::kOk:
-        break;
-    }
-    ManagerCommit(lg.page, lg.grant.op_id, self_, /*is_write=*/false);
-  }
-
-  // Call rounds: one kOpGroupFetch per destination; redirects (a remote
-  // manager naming a third-party owner) regroup by owner for the next
-  // round. Depth is bounded — owners never redirect — so two rounds is the
-  // worst case; the loop guard is belt and braces.
-  std::map<net::HostId, std::vector<std::pair<PageNum, std::uint64_t>>>
-      confirms;
-  const auto reject_grants = [&](const std::vector<GroupReqEntry>& entries) {
-    for (const GroupReqEntry& e : entries) {
-      if (e.role != kToOwner) continue;
-      const net::HostId gm =
-          dir_.dynamic() ? e.mgr : dir_.BaseManagerOf(e.page);
-      if (gm == self_) {
-        ManagerRevoke(e.page, e.op_id);
-      } else {
-        base::WireWriter w;
-        w.U32(e.page);
-        w.U64(e.op_id);
-        w.U8(0);  // abandonment only: says nothing about our copy state
-        endpoint_.Notify(gm, kOpGrantReject, std::move(w).Take());
-      }
-    }
-  };
-  auto current = std::move(calls);
-  for (int depth = 0; depth < 3 && !current.empty(); ++depth) {
-    std::map<net::HostId, std::vector<GroupReqEntry>> next;
-    for (auto& [dst, entries] : current) {
-      stats_.Inc("dsm.group_fetches");
-      TraceEv(trace::EventKind::kGroupFetch, entries.front().page, 0,
-              TraceParent(trace::FaultKey(self_, entries.front().page)),
-              static_cast<std::int64_t>(entries.size()), dst);
-      auto resp = endpoint_.CallWithStatus(dst, kOpGroupFetch,
-                                           EncodeGroupRequest(entries),
-                                           net::MsgKind::kControl,
-                                           DsmCallOpts());
-      if (resp.status == net::CallStatus::kShutdown) {
-        release_claims();
-        return false;
-      }
-      if (telem != nullptr) telem->rtts += 1;
-      if (resp.status == net::CallStatus::kTimedOut) {
-        // Free any pre-granted entries so their pages do not stay busy at
-        // the managers; every page of this call falls back to FaultOne.
-        stats_.Inc("dsm.group_fetch_timeouts");
-        reject_grants(entries);
-        continue;
-      }
-      auto es = DecodeGroupReply(resp.body);
-      // Whole-batch hop count: one request leg (plus the manager-to-owner
-      // forward when any grant came from a third host) and one reply leg.
-      bool forwarded = false;
-      for (const GroupReplyEntry& e : es) {
-        if (e.status == 1 && e.fr.owner != dst && e.fr.owner != self_) {
-          forwarded = true;
-        }
-      }
-      const std::int64_t hops = forwarded ? 3 : 2;
-      stats_.Hist("dsm.fault_hops", static_cast<double>(hops));
-      if (telem != nullptr) telem->hops += hops;
-      for (GroupReplyEntry& e : es) {
-        if (e.page < first || e.page >= last) {
-          stats_.Inc("dsm.malformed");  // never requested in this group
-          continue;
-        }
-        if (e.status == 0) {
-          stats_.Inc("dsm.group_fetch_busy");  // falls back to FaultOne
-          continue;
-        }
-        if (e.status == 2) {
-          next[e.redirect_owner].push_back(e.redirect);
-          continue;
-        }
-        if (e.status == 3) {
-          // The batched owner fetch hit an amnesiac restart: report the
-          // loss to the page's manager so it repairs the entry; the page
-          // itself is swept up by the per-page fallback below.
-          stats_.Inc("dsm.owner_lost_observed");
-          const net::HostId gm = dir_.dynamic()
-                                     ? e.redirect.mgr
-                                     : dir_.BaseManagerOf(e.page);
-          if (gm == self_) {
-            HandlePageLostLocal(e.page, e.redirect.op_id, e.redirect_owner);
-          } else {
-            base::WireWriter lw;
-            lw.U32(e.page);
-            lw.U64(e.redirect.op_id);
-            lw.U16(e.redirect_owner);
-            endpoint_.Notify(gm, kOpPageLost, std::move(lw).Take());
-          }
-          continue;
-        }
-        const net::HostId grant_mgr =
-            dir_.dynamic() ? e.fr.mgr : dir_.BaseManagerOf(e.page);
-        const bool local_mgr = grant_mgr == self_;
-        if (!local_mgr) {
-          std::lock_guard<std::mutex> lk(state_mu_);
-          if (fenced_.count({e.page, e.fr.op_id}) > 0) {
-            stats_.Inc("dsm.fenced_replies");
-            continue;
-          }
-          if (cfg_.crash_recovery && life != life_) {
-            // Crashed mid-batch: registering would leak a phantom inflight
-            // op into the fresh incarnation (see FaultViaRemoteManager).
-            stats_.Inc("dsm.fenced_replies");
-            continue;
-          }
-          if (cfg_.crash_recovery &&
-              (e.fr.op_id >> 48) < endpoint_.PeerIncarnation(grant_mgr)) {
-            // Grant from a dead incarnation of the page's manager: the
-            // rebuilt map does not know the op; installing would create a
-            // holder invisible to the reconstruction.
-            stats_.Inc("dsm.dead_epoch_grants");
-            continue;
-          }
-          inflight_ops_[{e.page, e.fr.op_id}] =
-              InflightOp{/*is_write=*/false, e.fr.new_version};
-          if (cfg_.probable_owner) {
-            ptable_.SetHint(e.page, e.fr.owner, IncOf(e.fr.owner));
-          }
-          if (dir_.dynamic()) {
-            dir_.LearnManager(e.page, grant_mgr, IncOf(grant_mgr));
-          }
-        }
-        switch (CompleteTransfer(e.page, /*is_write=*/false, e.fr, nullptr,
-                                 life)) {
-          case TransferResult::kShutdown:
-            release_claims();
-            return false;
-          case TransferResult::kFenced:
-            continue;  // swept up post-crash by the per-page fallback
-          case TransferResult::kRejected: {
-            // Free the stale dataless grant; the per-page fallback refaults
-            // this page with an honest has_copy claim.
-            if (local_mgr) {
-              ManagerRevoke(e.page, e.fr.op_id);
-            } else {
-              base::WireWriter rw;
-              rw.U32(e.page);
-              rw.U64(e.fr.op_id);
-              rw.U8(1);  // no_copy
-              endpoint_.Notify(grant_mgr, kOpGrantReject,
-                               std::move(rw).Take());
-            }
-            continue;
-          }
-          case TransferResult::kOk:
-            break;
-        }
-        if (local_mgr) {
-          ManagerCommit(e.page, e.fr.op_id, self_, /*is_write=*/false);
-        } else {
-          RecordCompleted(e.page, e.fr.op_id, grant_mgr, /*is_write=*/false);
-          confirms[grant_mgr].push_back({e.page, e.fr.op_id});
-        }
-      }
-    }
-    current = std::move(next);
-  }
-  // Unconsumed redirects past the depth guard (cannot happen with a
-  // well-formed peer): free their grants so the pages do not wedge.
-  for (const auto& [dst, entries] : current) reject_grants(entries);
-
-  // One batched confirm per remote manager covers every page it granted.
-  for (const auto& [mgr, ops] : confirms) {
-    base::WireWriter w;
-    w.U16(static_cast<std::uint16_t>(ops.size()));
-    for (const auto& [page, op_id] : ops) {
-      w.U32(page);
-      w.U64(op_id);
-      w.U8(0);  // read
-    }
-    endpoint_.Notify(mgr, kOpGroupConfirm, std::move(w).Take());
-  }
-  for (PageNum p : claimed) {
-    TraceEv(trace::EventKind::kFaultEnd, p, 0,
-            TraceParent(trace::FaultKey(self_, p)), 0);
-  }
-  release_claims();
-  // Per-page fallback sweeps up everything the batch could not serve (busy
-  // entries, timeouts, fenced grants, pages other threads were fetching).
-  for (PageNum p = first; p < last; ++p) {
-    FaultOne(p, Access::kRead, telem, nullptr);
-  }
-  return true;
-}
-
-Host::TransferResult Host::CompleteTransfer(
-    PageNum p, bool is_write, const FetchReply& reply,
-    std::vector<DeferredWrite>* deferred, std::uint32_t life) {
+Host::TransferResult Host::CompleteTransfer(PageNum p, bool is_write,
+                                            const FetchReply& reply,
+                                            std::uint32_t life) {
   // Every locked section re-checks `life`: the blocking points in between
   // (conversion, install cost, invalidation rounds) are exactly where a
   // crash can interpose, and a zombie install after the wipe would put
@@ -1365,40 +822,13 @@ Host::TransferResult Host::CompleteTransfer(
   TraceBind(trace::OpKey(p, reply.op_id), install_ev);
 
   if (is_write) {
-    if (deferred != nullptr) {
-      // Coalesced invalidation: park the grant. The page was installed
-      // read-only above; FlushDeferredWrites runs the batched invalidation
-      // and finalizes every page of the VM fault together.
-      {
-        std::lock_guard<std::mutex> lk(state_mu_);
-        if (life != life_ || fenced_.count({p, reply.op_id}) != 0) {
-          return fenced();
-        }
-        MERMAID_CHECK(ptable_.Local(p).access != Access::kNone);
-      }
-      const net::HostId manager =
-          dir_.dynamic() ? reply.mgr : dir_.BaseManagerOf(p);
-      deferred->push_back({p, reply, manager, life});
-      stats_.Inc("dsm.deferred_writes");
-      return TransferResult::kOk;
-    }
-    std::vector<net::HostId> to_invalidate = reply.to_invalidate;
     {
-      // Readers this host served via the hint fast path may be missing from
-      // the manager's copyset (their covering confirm raced this upgrade);
-      // they hold copies and must be invalidated too.
+      // A crash during the install delay: the fresh incarnation must not
+      // send this grant's invalidations.
       std::lock_guard<std::mutex> lk(state_mu_);
       if (life != life_) return fenced();
-      if (auto it = hinted_pending_.find(p); it != hinted_pending_.end()) {
-        for (net::HostId h : it->second) {
-          if (std::find(to_invalidate.begin(), to_invalidate.end(), h) ==
-              to_invalidate.end()) {
-            to_invalidate.push_back(h);
-          }
-        }
-      }
     }
-    if (!InvalidateCopies(p, to_invalidate, reply.op_id, install_ev)) {
+    if (!InvalidateCopies(p, reply.to_invalidate, reply.op_id, install_ev)) {
       return TransferResult::kShutdown;
     }
     if (!FinalizeWrite(p, reply, life)) return fenced();
@@ -1423,10 +853,6 @@ bool Host::FinalizeWrite(PageNum p, const FetchReply& reply,
   // The version just bumped: any converted images of the old version can
   // never be served again.
   DropConvertCacheLocked(p);
-  // Every hint-served reader was just invalidated with the rest of the
-  // copyset; the finalize also closes the hint-serve refusal window.
-  hinted_pending_.erase(p);
-  write_pending_.erase(p);
   if (referee_ != nullptr) {
     referee_->OnWriteGrant(self_, p, reply.new_version);
   }
@@ -1471,114 +897,6 @@ bool Host::InvalidateCopies(PageNum p,
     TraceBind(trace::InvKey(p), inv_ev);
     auto acks = endpoint_.MultiCallWithStatus(targets, kOpInvalidate, body,
                                               net::MsgKind::kControl,
-                                              DsmCallOpts());
-    if (acks.status == net::CallStatus::kShutdown) return false;
-    if (acks.status == net::CallStatus::kOk) return true;
-    std::vector<net::HostId> unacked;
-    for (std::size_t i : acks.timed_out) unacked.push_back(targets[i]);
-    targets = std::move(unacked);
-  }
-  return true;
-}
-
-bool Host::FlushDeferredWrites(std::vector<DeferredWrite> deferred,
-                               FaultTelemetry* telem) {
-  (void)telem;  // invalidation rounds count in neither hops nor rtts, so the
-                // coalesced and per-page paths stay comparable
-  if (deferred.empty()) return true;
-  std::vector<PageNum> pages;
-  std::set<net::HostId> union_targets;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    // Entries parked before a crash are fenced: the wiped state cannot back
-    // their grants, so they are dropped without invalidating or confirming.
-    std::erase_if(deferred, [&](const DeferredWrite& d) {
-      if (d.life == life_) return false;
-      stats_.Inc("dsm.fenced_transfers");
-      return true;
-    });
-    for (const DeferredWrite& d : deferred) {
-      pages.push_back(d.page);
-      // Refuse hint serves until the finalize: the target union below is
-      // fixed now, so no new reader may acquire a copy past it.
-      write_pending_.insert(d.page);
-      for (net::HostId h : d.reply.to_invalidate) {
-        if (h != self_) union_targets.insert(h);
-      }
-      if (auto it = hinted_pending_.find(d.page);
-          it != hinted_pending_.end()) {
-        for (net::HostId h : it->second) {
-          if (h != self_) union_targets.insert(h);
-        }
-      }
-    }
-  }
-  // One batched invalidation round per copyset host, single aggregated ack
-  // each. The union is safe: every page in it is being write-acquired, so
-  // over-invalidating a host that only held some of the pages is the normal
-  // write-invalidate outcome for those pages and a no-op for the rest.
-  if (!InvalidateBatchCall(
-          pages, {union_targets.begin(), union_targets.end()})) {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    for (PageNum p : pages) write_pending_.erase(p);
-    return false;  // shutdown
-  }
-  // Every copy is gone: finalize and confirm each page. The confirms were
-  // deferred with the invalidations, so every manager entry is still busy
-  // and no competing transfer has touched these pages in between.
-  std::map<net::HostId, std::vector<const DeferredWrite*>> remote_confirms;
-  for (const DeferredWrite& d : deferred) {
-    if (!FinalizeWrite(d.page, d.reply, d.life)) continue;  // crash-fenced
-    if (d.manager == self_) {
-      ManagerCommit(d.page, d.reply.op_id, self_, /*is_write=*/true);
-    } else {
-      RecordCompleted(d.page, d.reply.op_id, d.manager, /*is_write=*/true);
-      remote_confirms[d.manager].push_back(&d);
-    }
-  }
-  for (const auto& [mgr, ds] : remote_confirms) {
-    base::WireWriter w;
-    w.U16(static_cast<std::uint16_t>(ds.size()));
-    for (const DeferredWrite* d : ds) {
-      w.U32(d->page);
-      w.U64(d->reply.op_id);
-      w.U8(1);  // is_write
-    }
-    endpoint_.Notify(mgr, kOpGroupConfirm, std::move(w).Take());
-  }
-  return true;
-}
-
-bool Host::InvalidateBatchCall(const std::vector<PageNum>& pages,
-                               std::vector<net::HostId> targets) {
-  if (pages.empty() || targets.empty()) return true;
-  stats_.Hist("dsm.invalidate_fanout", static_cast<double>(targets.size()));
-  base::WireWriter w;
-  w.U16(static_cast<std::uint16_t>(pages.size()));
-  for (PageNum p : pages) w.U32(p);
-  const auto body = std::move(w).Take();
-  for (int round = 0; !targets.empty(); ++round) {
-    if (cfg_.crash_recovery) {
-      // Same as InvalidateCopies: a crashed host holds no copies.
-      std::erase_if(targets,
-                    [&](net::HostId h) { return net_.HostDown(h, rt_.Now()); });
-      if (targets.empty()) break;
-    }
-    MERMAID_CHECK_MSG(round <= cfg_.fault_retry_limit,
-                      "batched invalidation exhausted retries");
-    if (round > 0) {
-      stats_.Inc("dsm.invalidation_retries");
-      rt_.Delay(FaultBackoff(cfg_, round));
-    }
-    stats_.Inc("dsm.batch_invalidations_sent",
-               static_cast<std::int64_t>(targets.size()));
-    const std::uint64_t inv_ev =
-        TraceEv(trace::EventKind::kInvalidateBatch, pages.front(), 0, 0,
-                static_cast<std::int64_t>(targets.size()),
-                static_cast<std::int64_t>(pages.size()));
-    for (PageNum p : pages) TraceBind(trace::InvKey(p), inv_ev);
-    auto acks = endpoint_.MultiCallWithStatus(targets, kOpInvalidateBatch,
-                                              body, net::MsgKind::kControl,
                                               DsmCallOpts());
     if (acks.status == net::CallStatus::kShutdown) return false;
     if (acks.status == net::CallStatus::kOk) return true;
@@ -1900,19 +1218,6 @@ net::Body Host::EncodeServeReply(
       }
     }
     if (is_write) {
-      // Cover hint-served readers the manager may not know about yet: the
-      // new writer must invalidate their copies too. The pending set itself
-      // survives (only a covering confirm or our own write finalize clears
-      // it) in case this grant is revoked and the write never happens.
-      if (auto it = hinted_pending_.find(p); it != hinted_pending_.end()) {
-        for (net::HostId h : it->second) {
-          if (h != requester &&
-              std::find(r.to_invalidate.begin(), r.to_invalidate.end(), h) ==
-                  r.to_invalidate.end()) {
-            r.to_invalidate.push_back(h);
-          }
-        }
-      }
       // Relinquish: the new owner takes over. Keep the bytes servable in
       // case the manager revokes this grant and names us the source again.
       invalidated = e.access != Access::kNone;
@@ -2150,364 +1455,6 @@ void Host::HandleOwnerFetch(net::RequestContext ctx, bool is_write) {
             data_needed ? net::MsgKind::kData : net::MsgKind::kControl);
 }
 
-void Host::HandleHintedFetch(net::RequestContext ctx) {
-  base::WireReader r(ctx.body());
-  r.U8();  // role
-  const PageNum p = r.U32();
-  const bool has_copy = r.U8() != 0;
-  if (!r.ok() || p >= ptable_.num_pages()) {
-    stats_.Inc("dsm.malformed");
-    return;
-  }
-  rt_.Delay(profile_->server_op_cost);
-  bool servable = false;
-  std::uint64_t version = 0;
-  arch::TypeId type = 0;
-  std::uint32_t alloc_bytes = 0;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    LocalPageEntry& e = ptable_.Local(p);
-    // Serve only from a stable owned copy: not while this host is itself
-    // faulting the page, and not inside a coalesced write's finalize window
-    // (the batched invalidation's target union is already fixed).
-    if (e.owned && e.access != Access::kNone && !fault_inflight_[p] &&
-        write_pending_.count(p) == 0) {
-      servable = true;
-      version = e.version;
-      type = e.type;
-      alloc_bytes = e.alloc_bytes;
-      // Track the reader until the manager confirms it joined the copyset:
-      // any write serve in between carries it as an invalidation target.
-      hinted_pending_[p].insert(ctx.origin());
-    }
-  }
-  if (servable) {
-    stats_.Inc("dsm.hint_serves");
-    const std::uint64_t ev =
-        TraceEv(trace::EventKind::kHintServe, p, 0,
-                TraceParent(trace::HintKey(ctx.origin(), p)), alloc_bytes);
-    TraceBind(trace::HintKey(ctx.origin(), p), ev);
-    // op_id 0 marks a hint-served (manager-less) reply; version doubles as
-    // data and "new" version since nothing changes.
-    auto reply = EncodeServeReply(p, ctx.origin(), /*is_write=*/false,
-                                  /*data_needed=*/!has_copy, /*op_id=*/0,
-                                  version, version, type, alloc_bytes, {},
-                                  /*mgr=*/0);
-    ctx.Reply(std::move(reply), net::MsgKind::kData);
-    return;
-  }
-  // Stale hint: pass the request down the ownership chain — into our own
-  // manager queue when we manage the page, else forwarded to the manager as
-  // a normal transfer request. Either way the requester pays exactly one
-  // extra hop and the reply carries a real (non-zero) op id.
-  stats_.Inc("dsm.hint_stale");
-  const std::uint64_t stale_ev =
-      TraceEv(trace::EventKind::kHintStale, p, 0,
-              TraceParent(trace::HintKey(ctx.origin(), p)),
-              dir_.BaseManagerOf(p));
-  // Bind under the requester's fault key so the manager's grant chains
-  // through the stale-forward event.
-  TraceBind(trace::FaultKey(ctx.origin(), p), stale_ev);
-  PendingTransfer t;
-  t.is_write = false;
-  t.has_copy = has_copy;
-  t.requester = ctx.origin();
-  bool issue_now = false;
-  net::HostId fwd_tgt = self_;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    ManagerEntry* m = dir_.FindManager(p);
-    if (m != nullptr) {
-      if (recovering_) {
-        // Same as HandleTransferReq: no reply while rebuilding, the
-        // requester times out and retries.
-        stats_.Inc("dsm.recovery_dropped_reqs");
-        return;
-      }
-      t.remote = std::move(ctx);
-      if (m->busy || m->migrating) {
-        m->pending.push_back(std::move(t));
-        return;
-      }
-      issue_now = true;
-    } else {
-      fwd_tgt = dir_.ManagerTarget(p);
-      if (fwd_tgt == self_) {
-        const Directory::Forward* fwd = dir_.ForwardOf(p);
-        // No forward either: a reclaim is in flight; drop so the
-        // requester's call times out and retries the rebuilt entry.
-        fwd_tgt = fwd != nullptr ? fwd->to : self_;
-      }
-    }
-  }
-  if (issue_now) {
-    ManagerIssue(p, std::move(t));
-    return;
-  }
-  if (fwd_tgt == self_) return;
-  base::WireWriter w;
-  w.U8(kToManager);
-  w.U32(p);
-  w.U8(has_copy ? 1 : 0);
-  if (dir_.dynamic()) w.U8(0);  // forwarding-hop budget starts fresh
-  ctx.Forward(fwd_tgt, std::move(w).Take());
-}
-
-void Host::HandleHintConfirm(net::RequestContext ctx) {
-  base::WireReader r(ctx.body());
-  const PageNum p = r.U32();
-  const std::uint64_t version = r.U64();
-  if (!r.ok() || p >= ptable_.num_pages() ||
-      (!dir_.dynamic() && !dir_.BaseManagedHere(p))) {
-    stats_.Inc("dsm.malformed");
-    return;
-  }
-  bool covered = false;
-  net::HostId owner = 0;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    ManagerEntry* mp = dir_.FindManager(p);
-    if (mp == nullptr) {
-      // Dynamic: the entry migrated away. Chase the forward once; a dropped
-      // confirm is safe either way (the owner's hinted_pending_ keeps the
-      // reader an invalidation target).
-      if (!ForwardNotifyLocked(p, kOpHintConfirm, ctx.body())) {
-        stats_.Inc("dsm.hint_confirms_dropped");
-      }
-      return;
-    }
-    ManagerEntry& m = *mp;
-    // Only a quiescent entry at the served version can absorb the reader: a
-    // busy entry means a transfer (possibly a write) is in flight, and a
-    // version mismatch means the serve predates a committed write. Either
-    // way the owner keeps the reader in hinted_pending_ and every write
-    // serve covers it until this confirm eventually lands. A recovering
-    // manager also drops it: the entry is about to be rebuilt from claims.
-    if (!recovering_ && !m.busy && !m.migrating && m.version == version) {
-      m.copyset.insert(ctx.origin());
-      covered = true;
-      owner = m.owner;
-    }
-  }
-  if (!covered) {
-    stats_.Inc("dsm.hint_confirms_dropped");
-    return;
-  }
-  stats_.Inc("dsm.hint_confirms");
-  if (owner == self_) {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    if (auto it = hinted_pending_.find(p); it != hinted_pending_.end()) {
-      it->second.erase(ctx.origin());
-      if (it->second.empty()) hinted_pending_.erase(it);
-    }
-    return;
-  }
-  base::WireWriter w;
-  w.U32(p);
-  w.U16(ctx.origin());
-  endpoint_.Notify(owner, kOpHintCovered, std::move(w).Take());
-}
-
-void Host::HandleHintCovered(net::RequestContext ctx) {
-  base::WireReader r(ctx.body());
-  const PageNum p = r.U32();
-  const net::HostId reader = r.U16();
-  if (!r.ok()) {
-    stats_.Inc("dsm.malformed");
-    return;
-  }
-  std::lock_guard<std::mutex> lk(state_mu_);
-  if (auto it = hinted_pending_.find(p); it != hinted_pending_.end()) {
-    it->second.erase(reader);
-    if (it->second.empty()) hinted_pending_.erase(it);
-  }
-}
-
-void Host::HandleGroupFetch(net::RequestContext ctx) {
-  bool ok = true;
-  auto entries = DecodeGroupRequest(ctx.body(), &ok);
-  if (!ok || entries.empty()) {
-    stats_.Inc("dsm.malformed");
-    return;
-  }
-  // One server operation covers the whole batch — the point of the fast
-  // path (versus one per page on the per-page path).
-  rt_.Delay(profile_->server_op_cost);
-  struct Prep {
-    ManagerGrant g;
-    std::uint64_t data_version = 0;
-    bool granted = false;
-    bool busy = false;
-    bool lost = false;  // named owner but the copy died with a past life
-  };
-  std::vector<Prep> preps(entries.size());
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      const GroupReqEntry& req = entries[i];
-      Prep& pr = preps[i];
-      if (req.page >= ptable_.num_pages()) {
-        pr.busy = true;
-        continue;
-      }
-      if (req.role == kToOwner) {
-        // Pre-granted fetch against our local copy.
-        const LocalPageEntry& e = ptable_.Local(req.page);
-        if (cfg_.crash_recovery && e.access == Access::kNone && !e.retained) {
-          pr.lost = true;
-          continue;
-        }
-        pr.data_version = e.version;
-        continue;
-      }
-      ManagerEntry* m = dir_.FindManager(req.page);
-      if (m == nullptr || recovering_ || m->busy || m->migrating) {
-        // Absent entries (migrated away under the dynamic directory) fall
-        // back to the per-page path, which chases the forward chain.
-        pr.busy = true;
-        continue;
-      }
-      pr.g = BuildGrantLocked(req.page, ctx.origin(), /*is_write=*/false,
-                              req.has_copy);
-      pr.data_version = m->version;
-      pr.granted = true;
-    }
-  }
-  std::vector<GroupReplyEntry> res(entries.size());
-  std::vector<net::Body> bodies;
-  bool all_redirect = true;
-  bool any_redirect = false;
-  net::HostId redirect_owner = 0;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const GroupReqEntry& req = entries[i];
-    Prep& pr = preps[i];
-    GroupReplyEntry& e = res[i];
-    e.page = req.page;
-    if (pr.busy) {
-      e.status = 0;  // requester falls back to the per-page path
-      all_redirect = false;
-      continue;
-    }
-    if (req.role == kToOwner) {
-      if (pr.lost) {
-        // Status 3: the grant named us owner but our copy died in a crash.
-        // The redirect fields carry the grant id and this (dead) owner so
-        // the requester can report the loss to the manager.
-        e.status = 3;
-        e.redirect.op_id = req.op_id;
-        e.redirect.mgr = req.mgr;  // echoed so the loss report finds it
-        e.redirect_owner = self_;
-        all_redirect = false;
-        stats_.Inc("dsm.owner_lost_detected");
-        TraceEv(trace::EventKind::kOwnerLost, req.page, req.op_id,
-                TraceParent(trace::OpKey(req.page, req.op_id)), self_);
-        continue;
-      }
-      e.status = 1;
-      bodies.push_back(EncodeServeReply(
-          req.page, ctx.origin(), /*is_write=*/false, req.data_needed,
-          req.op_id, pr.data_version, req.new_version, req.type,
-          req.alloc_bytes, {}, req.mgr));
-      all_redirect = false;
-      continue;
-    }
-    if (pr.g.owner == ctx.origin()) {
-      // Requester already owns the page (retained copy): no data leg.
-      FetchReply fr;
-      fr.op_id = pr.g.op_id;
-      fr.data_version = pr.data_version;
-      fr.new_version = pr.g.new_version;
-      fr.owner = pr.g.owner;
-      fr.mgr = self_;
-      fr.type = pr.g.type;
-      fr.alloc_bytes = pr.g.alloc_bytes;
-      fr.has_data = false;
-      fr.data_rep = arch::RepClassByte(net_.ProfileOf(pr.g.owner));
-      e.status = 1;
-      bodies.push_back(EncodeFetchReply(fr));
-      all_redirect = false;
-    } else if (pr.g.owner == self_) {
-      // Manager host owns the page: serve directly (R -> M/O).
-      e.status = 1;
-      bodies.push_back(EncodeServeReply(
-          req.page, ctx.origin(), /*is_write=*/false,
-          !pr.g.requester_has_copy, pr.g.op_id, pr.data_version,
-          pr.g.new_version, pr.g.type, pr.g.alloc_bytes, {}, self_));
-      all_redirect = false;
-    } else {
-      // Third-party owner: hand the grant parameters back so the requester
-      // batches a direct owner fetch — unless EVERY entry redirects to the
-      // same owner, in which case the whole group is forwarded below.
-      e.status = 2;
-      e.redirect_owner = pr.g.owner;
-      e.redirect.role = kToOwner;
-      e.redirect.page = req.page;
-      e.redirect.op_id = pr.g.op_id;
-      e.redirect.new_version = pr.g.new_version;
-      e.redirect.data_needed = !pr.g.requester_has_copy;
-      e.redirect.type = pr.g.type;
-      e.redirect.alloc_bytes = pr.g.alloc_bytes;
-      e.redirect.mgr = self_;
-      if (!any_redirect) {
-        redirect_owner = pr.g.owner;
-        any_redirect = true;
-      } else if (redirect_owner != pr.g.owner) {
-        all_redirect = false;
-      }
-    }
-  }
-  if (all_redirect && any_redirect) {
-    // Every page is owned by one remote host: forward the whole group and
-    // let the owner reply straight to the requester (1 RTT end to end).
-    std::vector<GroupReqEntry> fwd;
-    fwd.reserve(res.size());
-    for (const GroupReplyEntry& e : res) fwd.push_back(e.redirect);
-    stats_.Inc("dsm.group_forwards");
-    TraceEv(trace::EventKind::kGroupFetch, fwd.front().page, 0,
-            TraceParent(trace::OpKey(fwd.front().page, fwd.front().op_id)),
-            static_cast<std::int64_t>(fwd.size()), redirect_owner);
-    ctx.Forward(redirect_owner, EncodeGroupRequest(fwd));
-    return;
-  }
-  std::int64_t served = 0;
-  for (const GroupReplyEntry& e : res) {
-    if (e.status == 1) ++served;
-  }
-  auto reply = EncodeGroupReply(std::move(res), std::move(bodies));
-  stats_.Inc("dsm.group_serves");
-  TraceEv(trace::EventKind::kGroupServe, entries.front().page, 0,
-          TraceParent(trace::FaultKey(ctx.origin(), entries.front().page)),
-          served, static_cast<std::int64_t>(reply.size()));
-  ctx.Reply(std::move(reply), net::MsgKind::kData);
-}
-
-void Host::HandleGroupConfirm(net::RequestContext ctx) {
-  base::WireReader r(ctx.body());
-  const std::uint16_t n = r.U16();
-  struct Confirm {
-    PageNum page = 0;
-    std::uint64_t op_id = 0;
-    bool is_write = false;
-  };
-  std::vector<Confirm> cs(n);
-  for (Confirm& c : cs) {
-    c.page = r.U32();
-    c.op_id = r.U64();
-    c.is_write = r.U8() != 0;
-  }
-  if (!r.ok()) {
-    stats_.Inc("dsm.malformed");
-    return;
-  }
-  for (const Confirm& c : cs) {
-    // ManagerCommit tolerates absent entries (migrated or rebuilt): a
-    // misdelivered confirm lands in the stale-confirms bucket.
-    if (c.page < ptable_.num_pages()) {
-      ManagerCommit(c.page, c.op_id, ctx.origin(), c.is_write);
-    }
-  }
-}
-
 void Host::HandleInvalidate(net::RequestContext ctx) {
   base::WireReader r(ctx.body());
   const PageNum p = r.U32();
@@ -2518,65 +1465,24 @@ void Host::HandleInvalidate(net::RequestContext ctx) {
   rt_.Delay(profile_->server_op_cost);
   TraceEv(trace::EventKind::kInvalidateRecv, p, 0,
           TraceParent(trace::InvKey(p)), ctx.origin());
+  const net::HostId writer = ctx.origin();
   {
     std::lock_guard<std::mutex> lk(state_mu_);
-    ApplyInvalidateLocked(p, ctx.origin());
-  }
-  ctx.Reply({});
-}
-
-bool Host::ApplyInvalidateLocked(PageNum p, net::HostId writer) {
-  LocalPageEntry& e = ptable_.Local(p);
-  bool dropped = false;
-  if (e.access != Access::kNone) {
-    e.access = Access::kNone;
-    e.owned = false;
-    dropped = true;
-    stats_.Inc("dsm.invalidations_received");
-    if (referee_ != nullptr) referee_->OnInvalidate(self_, p);
-  }
-  // Another writer is committing: any retained image is now stale, and so
-  // is every cached converted image of this page.
-  e.retained = false;
-  DropConvertCacheLocked(p);
-  if (cfg_.probable_owner) {
-    // The invalidating writer is about to own this page: remember it, and
-    // poison any hinted fetch whose reply is crossing this invalidation.
-    ptable_.SetHint(p, writer, IncOf(writer));
-    if (auto it = hint_poison_.find(p); it != hint_poison_.end()) {
-      it->second = true;
+    LocalPageEntry& e = ptable_.Local(p);
+    if (e.access != Access::kNone) {
+      e.access = Access::kNone;
+      e.owned = false;
+      stats_.Inc("dsm.invalidations_received");
+      if (referee_ != nullptr) referee_->OnInvalidate(self_, p);
     }
-  }
-  if (dir_.dynamic() && !cfg_.hot_page_migration && writer != self_) {
-    // Pure dynamic mode migrates management to every committing writer:
-    // the invalidating writer is about to both own and manage this page.
-    dir_.LearnManager(p, writer, IncOf(writer));
-  }
-  return dropped;
-}
-
-void Host::HandleInvalidateBatch(net::RequestContext ctx) {
-  base::WireReader r(ctx.body());
-  const std::uint16_t n = r.U16();
-  std::vector<PageNum> pages(n);
-  for (auto& p : pages) p = r.U32();
-  if (!r.ok() || pages.empty()) {
-    stats_.Inc("dsm.malformed");
-    return;
-  }
-  // One server operation covers the whole batch — the point of coalescing.
-  rt_.Delay(profile_->server_op_cost);
-  const PageNum total = ptable_.num_pages();
-  for (PageNum p : pages) {
-    if (p >= total) continue;
-    TraceEv(trace::EventKind::kInvalidateRecv, p, 0,
-            TraceParent(trace::InvKey(p)), ctx.origin());
-  }
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    for (PageNum p : pages) {
-      if (p >= total) continue;
-      ApplyInvalidateLocked(p, ctx.origin());
+    // Another writer is committing: any retained image is now stale, and so
+    // is every cached converted image of this page.
+    e.retained = false;
+    DropConvertCacheLocked(p);
+    if (dir_.dynamic() && !cfg_.hot_page_migration && writer != self_) {
+      // Pure dynamic mode migrates management to every committing writer:
+      // the invalidating writer is about to both own and manage this page.
+      dir_.LearnManager(p, writer, IncOf(writer));
     }
   }
   ctx.Reply({});
@@ -2649,8 +1555,8 @@ void Host::HandleGrantReject(net::RequestContext ctx) {
   const std::uint64_t op_id = r.U64();
   // Two distinct meanings share this opcode, told apart by the reason
   // byte: no_copy=1 is an install-time disclaim ("the grant is dataless
-  // and I verifiably hold nothing"), no_copy=0 is mere abandonment (group
-  // timeout, probe disown) that says nothing about the sender's copy.
+  // and I verifiably hold nothing"), no_copy=0 is mere abandonment (a probe
+  // disown) that says nothing about the sender's copy.
   const bool no_copy = r.U8() != 0;
   if (!r.ok() || p >= ptable_.num_pages() ||
       (!dir_.dynamic() && !dir_.BaseManagedHere(p))) {
@@ -2703,7 +1609,7 @@ void Host::HandleGrantExtend(net::RequestContext ctx) {
 // --------------------------------------------------------------------------
 
 // --------------------------------------------------------------------------
-// Release consistency (§12 of DESIGN.md)
+// Release consistency (§11 of DESIGN.md)
 //
 // Under SystemConfig::release_consistency a write fault never invalidates
 // the copyset: the writer twins the page and defers its writes, and every
@@ -3221,11 +2127,6 @@ std::size_t Host::RcTwinCount() {
   return rc_twins_.size() + rc_home_dirty_.size();
 }
 
-net::HostId Host::HintSnapshot(PageNum p) {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  return ptable_.HintOf(p);
-}
-
 void Host::ConvertIncoming(PageNum p, std::span<std::uint8_t> data,
                            arch::TypeId type, const arch::ArchProfile& from,
                            bool run_codec) {
@@ -3360,157 +2261,6 @@ Host::FetchReply Host::DecodeFetchReply(const base::BufferChain& body) const {
   }
 }
 
-net::Body Host::EncodeGroupRequest(
-    const std::vector<GroupReqEntry>& es) const {
-  base::WireWriter w;
-  w.U16(static_cast<std::uint16_t>(es.size()));
-  for (const GroupReqEntry& e : es) {
-    w.U8(e.role);
-    w.U32(e.page);
-    if (e.role == kToManager) {
-      w.U8(e.has_copy ? 1 : 0);
-    } else {
-      w.U64(e.op_id);
-      w.U64(e.new_version);
-      w.U8(e.data_needed ? 1 : 0);
-      w.U16(e.type);
-      w.U32(e.alloc_bytes);
-      // Granting manager (dynamic only): the owner echoes it back so the
-      // requester confirms to the host that actually holds the busy entry.
-      if (dir_.dynamic()) w.U16(e.mgr);
-    }
-  }
-  return std::move(w).Take();
-}
-
-std::vector<Host::GroupReqEntry> Host::DecodeGroupRequest(
-    std::span<const std::uint8_t> body, bool* ok) const {
-  base::WireReader r(body);
-  const std::uint16_t n = r.U16();
-  std::vector<GroupReqEntry> es;
-  es.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) {
-    GroupReqEntry e;
-    e.role = r.U8();
-    e.page = r.U32();
-    if (e.role == kToManager) {
-      e.has_copy = r.U8() != 0;
-    } else if (e.role == kToOwner) {
-      e.op_id = r.U64();
-      e.new_version = r.U64();
-      e.data_needed = r.U8() != 0;
-      e.type = r.U16();
-      e.alloc_bytes = r.U32();
-      if (dir_.dynamic()) e.mgr = r.U16();
-    } else {
-      *ok = false;
-      return {};
-    }
-    es.push_back(e);
-  }
-  *ok = r.ok();
-  return es;
-}
-
-net::Body Host::EncodeGroupReply(std::vector<GroupReplyEntry> es,
-                                 std::vector<net::Body> grant_bodies) const {
-  // Head: per-entry metadata with, for grants, the length of the embedded
-  // FetchReply head and of its data slice. The data slices are concatenated
-  // behind the head as a shared chain — like EncodeFetchReply, nothing is
-  // copied between the owner's serve and the wire.
-  base::WireWriter w;
-  base::BufferChain data;
-  std::size_t gi = 0;
-  w.U16(static_cast<std::uint16_t>(es.size()));
-  for (GroupReplyEntry& e : es) {
-    w.U32(e.page);
-    w.U8(e.status);
-    if (e.status == 1) {
-      net::Body& b = grant_bodies[gi++];
-      w.U32(static_cast<std::uint32_t>(b.head.size()));
-      w.U64(b.data.size());
-      w.Raw(b.head);
-      data.Append(std::move(b.data));
-    } else if (e.status == 2) {
-      w.U16(e.redirect_owner);
-      w.U64(e.redirect.op_id);
-      w.U64(e.redirect.new_version);
-      w.U8(e.redirect.data_needed ? 1 : 0);
-      w.U16(e.redirect.type);
-      w.U32(e.redirect.alloc_bytes);
-      if (dir_.dynamic()) w.U16(e.redirect.mgr);
-    } else if (e.status == 3) {
-      // Owner lost: just the grant id and the amnesiac owner.
-      w.U64(e.redirect.op_id);
-      w.U16(e.redirect_owner);
-      if (dir_.dynamic()) w.U16(e.redirect.mgr);
-    }
-  }
-  return net::Body(std::move(w).Take(), std::move(data));
-}
-
-std::vector<Host::GroupReplyEntry> Host::DecodeGroupReply(
-    const base::BufferChain& body) const {
-  // Same chunk(0)-first pattern as DecodeFetchReply: metadata sits in the
-  // first chunk by construction; flatten only if a degenerate MTU split it.
-  // Data offsets computed against the flattened bytes are equally valid on
-  // the original chain (same logical byte string), so slices stay shared.
-  base::Buffer meta =
-      body.chunk_count() > 0 ? body.chunk(0) : base::Buffer();
-  bool flattened = false;
-  for (;;) {
-    base::WireReader r(meta.span());
-    const std::uint16_t n = r.U16();
-    std::vector<GroupReplyEntry> es(n);
-    std::vector<std::uint64_t> data_lens(n, 0);
-    bool ok = true;
-    for (std::uint16_t i = 0; i < n && ok; ++i) {
-      GroupReplyEntry& e = es[i];
-      e.page = r.U32();
-      e.status = r.U8();
-      if (e.status == 1) {
-        const std::uint32_t head_len = r.U32();
-        data_lens[i] = r.U64();
-        auto head = r.Raw(head_len);
-        if (!r.ok()) break;
-        e.fr = DecodeFetchReply(base::BufferChain(
-            std::vector<std::uint8_t>(head.begin(), head.end())));
-      } else if (e.status == 2) {
-        e.redirect_owner = r.U16();
-        e.redirect.role = kToOwner;
-        e.redirect.page = e.page;
-        e.redirect.op_id = r.U64();
-        e.redirect.new_version = r.U64();
-        e.redirect.data_needed = r.U8() != 0;
-        e.redirect.type = r.U16();
-        e.redirect.alloc_bytes = r.U32();
-        if (dir_.dynamic()) e.redirect.mgr = r.U16();
-      } else if (e.status == 3) {
-        e.redirect.page = e.page;
-        e.redirect.op_id = r.U64();
-        e.redirect_owner = r.U16();
-        if (dir_.dynamic()) e.redirect.mgr = r.U16();
-      } else if (e.status != 0) {
-        ok = false;
-      }
-    }
-    if (ok && r.ok()) {
-      std::size_t off = meta.size() - r.remaining();
-      for (std::uint16_t i = 0; i < n; ++i) {
-        if (es[i].status == 1 && es[i].fr.has_data) {
-          es[i].fr.data = body.Slice(off, data_lens[i]);
-          off += data_lens[i];
-        }
-      }
-      return es;
-    }
-    MERMAID_CHECK_MSG(!flattened && meta.size() < body.size(),
-                      "malformed group fetch reply");
-    meta = body.Flatten();
-    flattened = true;
-  }
-}
-
 // --------------------------------------------------------------------------
 // Crash-stop recovery
 // --------------------------------------------------------------------------
@@ -3569,9 +2319,6 @@ void Host::CrashWipe() {
     fenced_order_.clear();
     convert_cache_.clear();
     convert_cache_order_.clear();
-    hinted_pending_.clear();
-    hint_poison_.clear();
-    write_pending_.clear();
     rc_twins_.clear();
     rc_home_dirty_.clear();
     rc_pending_notices_.clear();

@@ -191,9 +191,8 @@ class Host {
 
   // Test hooks.
   LocalPageEntry LocalEntrySnapshot(PageNum p);
-  // Release-consistency test hooks: live twin count / probable-owner hint.
+  // Release-consistency test hook: live twin count.
   std::size_t RcTwinCount();
-  net::HostId HintSnapshot(PageNum p);
 
   // --- release consistency (System wires these as the sync client's
   // --- release/acquire hooks; see SystemConfig::release_consistency) ------
@@ -262,25 +261,10 @@ class Host {
 
   // Per-VM-fault telemetry: protocol messages on the critical path and
   // blocking request round trips, summed over the fault's DSM pages. Feeds
-  // the dsm.vm_fault_hops / dsm.vm_fault_rtts histograms that quantify the
-  // fast paths' savings.
+  // the dsm.vm_fault_hops / dsm.vm_fault_rtts histograms.
   struct FaultTelemetry {
     std::int64_t hops = 0;
     std::int64_t rtts = 0;
-  };
-
-  // One write-group page whose invalidation and finalization were deferred
-  // (coalesced invalidation): the page is installed read-only and parked
-  // here; after every page of the VM fault holds its grant, one batched
-  // invalidation round runs and each page is finalized and confirmed.
-  struct DeferredWrite {
-    PageNum page = 0;
-    FetchReply reply;
-    // The manager that granted this page (confirm target after the flush).
-    net::HostId manager = 0;
-    // Host life at park time; a crash between park and flush fences the
-    // entry (the wiped state can no longer back the grant).
-    std::uint32_t life = 0;
   };
 
   // Outcome of CompleteTransfer: kFenced means this host crashed while the
@@ -296,43 +280,18 @@ class Host {
   // One VM-level fault: acquires every DSM page of the enclosing VM page
   // that lacks `needed` access.
   void FaultGroup(PageNum p, Access needed);
-  // One DSM-page protocol round. With `deferred` non-null (coalesced
-  // invalidation), a granted write parks in `deferred` instead of
-  // invalidating and finalizing.
-  // The `life` parameter of the fault helpers is the host life (crash
-  // count) captured when the round started; CompleteTransfer fences the
-  // install when it no longer matches (the thread is a pre-crash zombie).
-  void FaultOne(PageNum p, Access needed, FaultTelemetry* telem,
-                std::vector<DeferredWrite>* deferred);
+  // One DSM-page protocol round. The `life` parameter of the fault helpers
+  // is the host life (crash count) captured when the round started;
+  // CompleteTransfer fences the install when it no longer matches (the
+  // thread is a pre-crash zombie).
+  void FaultOne(PageNum p, Access needed, FaultTelemetry& telem);
   FaultOutcome FaultViaLocalManager(PageNum p, bool is_write,
-                                    FaultTelemetry* telem,
-                                    std::vector<DeferredWrite>* deferred,
-                                    std::uint32_t life);
+                                    FaultTelemetry& telem, std::uint32_t life);
   FaultOutcome FaultViaRemoteManager(PageNum p, bool is_write,
-                                     FaultTelemetry* telem,
-                                     std::vector<DeferredWrite>* deferred,
-                                     std::uint32_t life);
-  // Probable-owner fast path: one direct fetch round against the hinted
-  // owner. Returns the outcome, or nullopt when the normal manager path
-  // should run (no hint, hint timed out, or the serve was fenced).
-  std::optional<FaultOutcome> FaultViaHint(PageNum p, FaultTelemetry* telem,
-                                           std::uint32_t life);
-  // Batched group fetch for a read VM fault spanning [first, last): one
-  // kOpGroupFetch call per remote manager / distinct owner; pages the batch
-  // cannot serve (busy entries, losses) fall back to FaultOne. False on
-  // shutdown.
-  bool FaultGroupFetch(PageNum first, PageNum last, FaultTelemetry* telem);
-  // Coalesced-invalidation tail: unions the deferred pages' copyset targets,
-  // runs one batched invalidation round per target, then finalizes and
-  // confirms every page. False on shutdown.
-  bool FlushDeferredWrites(std::vector<DeferredWrite> deferred,
-                           FaultTelemetry* telem);
-  // Install + invalidate + (write-)grant; shared tail of both fault
-  // variants. With `deferred` non-null a write parks instead of finalizing.
+                                     FaultTelemetry& telem, std::uint32_t life);
+  // Install + invalidate + (write-)grant; shared tail of both fault variants.
   TransferResult CompleteTransfer(PageNum p, bool is_write,
-                                  const FetchReply& reply,
-                                  std::vector<DeferredWrite>* deferred,
-                                  std::uint32_t life);
+                                  const FetchReply& reply, std::uint32_t life);
   // The locked write-finalize step (write access, version bump, referee
   // write grant). Caller must have completed the page's invalidations.
   // False when fenced by a crash (caller skips the confirm).
@@ -430,8 +389,8 @@ class Host {
 
   // --- crash-stop recovery ------------------------------------------------
   // Crash-with-amnesia: resets the endpoint (new incarnation, zombie calls
-  // fenced), wipes the page table, hints, conversion cache, memory image,
-  // and all fault-path bookkeeping, and marks the manager role as
+  // fenced), wipes the page table, conversion cache, memory image, and
+  // all fault-path bookkeeping, and marks the manager role as
   // recovering. Parked fault waiters are woken so their threads refault.
   void CrashWipe();
   // Manager-state reconstruction after a restart: queries every live host
@@ -448,9 +407,9 @@ class Host {
   // the caller is itself about to issue a transfer for this page.
   void HandlePageLostLocal(PageNum p, std::uint64_t op_id,
                            net::HostId dead_owner, bool drain = true);
-  // The hinted/recorded incarnation of host h: 0 with crash recovery off
-  // (keeps wire images and hint state bit-identical), else the endpoint's
-  // current knowledge.
+  // The recorded incarnation of host h: 0 with crash recovery off (keeps
+  // wire images and learned-location state bit-identical), else the
+  // endpoint's current knowledge.
   std::uint32_t IncOf(net::HostId h);
 
   // --- owner role ---------------------------------------------------------
@@ -476,56 +435,10 @@ class Host {
   void HandleConfirmProbe(net::RequestContext ctx);
   void HandleGrantReject(net::RequestContext ctx);
   void HandleGrantExtend(net::RequestContext ctx);
-  // Fast-path handlers (only reachable when the matching knob is on at the
-  // sender; each is safe to receive regardless).
-  void HandleHintedFetch(net::RequestContext ctx);
-  void HandleHintConfirm(net::RequestContext ctx);
-  void HandleHintCovered(net::RequestContext ctx);
-  void HandleGroupFetch(net::RequestContext ctx);
-  void HandleGroupConfirm(net::RequestContext ctx);
-  void HandleInvalidateBatch(net::RequestContext ctx);
   // Crash-recovery handlers.
   void HandleRecoveryQuery(net::RequestContext ctx);
   void HandleRecoveryDemote(net::RequestContext ctx);
   void HandlePageLost(net::RequestContext ctx);
-
-  // --- group-fetch wire helpers -------------------------------------------
-  // One entry of a kOpGroupFetch request (role is per entry: the same call
-  // can carry manager-role misses and owner-role pre-granted fetches).
-  struct GroupReqEntry {
-    std::uint8_t role = kToManager;
-    PageNum page = 0;
-    bool has_copy = false;       // kToManager
-    std::uint64_t op_id = 0;     // kToOwner grant parameters
-    std::uint64_t new_version = 0;
-    bool data_needed = true;
-    arch::TypeId type = 0;
-    std::uint32_t alloc_bytes = 0;
-    net::HostId mgr = 0;         // kToOwner: granting manager (dynamic dir)
-  };
-  // One entry of a kOpGroupFetch reply.
-  struct GroupReplyEntry {
-    PageNum page = 0;
-    // 0 = busy (fall back), 1 = grant, 2 = redirect, 3 = owner lost (the
-    // addressed owner restarted with amnesia; redirect.op_id/redirect_owner
-    // carry the grant id and dead owner for the kOpPageLost report).
-    std::uint8_t status = 0;
-    FetchReply fr;            // status 1
-    GroupReqEntry redirect;   // status 2 (owner-role request parameters)
-    net::HostId redirect_owner = 0;
-  };
-  // Members (not statics): the dynamic directory adds wire fields that are
-  // encoded/decoded only when cfg_.directory_mode == kDynamic, keeping the
-  // knobs-off wire image bit-identical.
-  net::Body EncodeGroupRequest(const std::vector<GroupReqEntry>& es) const;
-  std::vector<GroupReqEntry> DecodeGroupRequest(
-      std::span<const std::uint8_t> body, bool* ok) const;
-  // Serialized grant entries carry an encoded FetchReply head plus a slice
-  // of the shared payload chain; nothing is copied on either side.
-  net::Body EncodeGroupReply(std::vector<GroupReplyEntry> es,
-                             std::vector<net::Body> grant_bodies) const;
-  std::vector<GroupReplyEntry> DecodeGroupReply(
-      const base::BufferChain& body) const;
 
   // --- helpers -------------------------------------------------------------
   // Charges the receiver-side modeled conversion delay and stats for an
@@ -539,16 +452,6 @@ class Host {
   // Drops every conversion-cache entry for page p (counted as evictions).
   // Caller holds state_mu_.
   void DropConvertCacheLocked(PageNum p);
-  // Applies one incoming invalidation (single or batched) from `writer` to
-  // page p: drops the copy, retained image, cached conversions; learns the
-  // writer as the probable owner; poisons any in-flight hinted fetch.
-  // Caller holds state_mu_. Returns true when a valid copy was dropped
-  // (referee notification included).
-  bool ApplyInvalidateLocked(PageNum p, net::HostId writer);
-  // Reliable batched invalidation: one kOpInvalidateBatch round per target
-  // until every target acks all pages. False on shutdown.
-  bool InvalidateBatchCall(const std::vector<PageNum>& pages,
-                           std::vector<net::HostId> targets);
   void RecordCompleted(PageNum p, std::uint64_t op_id, net::HostId manager,
                        bool is_write);
   // Adds {p, op_id} to the fenced set (bounded FIFO) so a decoded-but-not-
@@ -650,21 +553,6 @@ class Host {
   };
   std::map<ConvertCacheKey, base::Buffer> convert_cache_;
   std::deque<ConvertCacheKey> convert_cache_order_;
-  // Probable-owner bookkeeping (guarded by state_mu_):
-  //  - hinted_pending_: readers this host served via the hint fast path whose
-  //    copyset membership the manager may not know yet. Every write serve /
-  //    upgrade appends them to its invalidation targets; an entry is removed
-  //    only by the manager's kOpHintCovered notify or by this host's own
-  //    write finalize (which invalidates all of them anyway).
-  //  - hint_poison_: pages with a hinted fetch in flight; an invalidation
-  //    arriving inside the window flips the flag and the (possibly stale)
-  //    hinted reply is discarded instead of installed.
-  //  - write_pending_: pages of a coalesced write group between the batch
-  //    invalidation and their finalize; hint serves refuse them so no new
-  //    reader can slip past the already-computed target union.
-  std::map<PageNum, std::set<net::HostId>> hinted_pending_;
-  std::map<PageNum, bool> hint_poison_;
-  std::set<PageNum> write_pending_;
   // Release-consistency state (guarded by state_mu_):
   //  - rc_twins_: pages this host is write-buffering; `base` is the page
   //    image at twin time, diffed against the working copy at release.

@@ -4,8 +4,7 @@
 
 namespace mermaid::dsm {
 
-PageTable::PageTable(PageNum num_pages)
-    : local_(num_pages), hints_(num_pages, kNoHint), hint_inc_(num_pages, 0) {}
+PageTable::PageTable(PageNum num_pages) : local_(num_pages) {}
 
 LocalPageEntry& PageTable::Local(PageNum p) {
   MERMAID_CHECK(p < local_.size());

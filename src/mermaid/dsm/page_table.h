@@ -1,14 +1,12 @@
 // Per-host DSM page table.
 //
-// Each host keeps a LocalPageEntry per DSM page (its own copy's state) plus
-// the probable-owner hint array. Matching the paper: "It uses a page table
-// for the shared address space to maintain data consistency". The
-// manager-side state (ManagerEntry, declared here because grants reference
-// the same transfer types) is held by the Directory, which also decides
-// which host manages which page.
+// Each host keeps a LocalPageEntry per DSM page (its own copy's state).
+// Matching the paper: "It uses a page table for the shared address space to
+// maintain data consistency". The manager-side state (ManagerEntry, declared
+// here because grants reference the same transfer types) is held by the
+// Directory, which also decides which host manages which page.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -100,55 +98,16 @@ class PageTable {
   LocalPageEntry& Local(PageNum p);
   const LocalPageEntry& Local(PageNum p) const;
 
-  // Probable-owner hint: the last host observed to own page p (learned from
-  // fetch replies and invalidation traffic; see SystemConfig::probable_owner).
-  // kNoHint when nothing has been learned. Hints are advisory — a stale one
-  // costs one extra forwarding hop, never correctness.
-  static constexpr net::HostId kNoHint = 0xFFFF;
-  net::HostId HintOf(PageNum p) const {
-    return p < hints_.size() ? hints_[p] : kNoHint;
-  }
-  // `owner_inc` is the hinted owner's incarnation at learn time (always 0
-  // unless crash recovery is on): a hint learned from a previous life of the
-  // owner is fenced by the requester instead of being chased.
-  void SetHint(PageNum p, net::HostId owner, std::uint32_t owner_inc = 0) {
-    if (p < hints_.size()) {
-      hints_[p] = owner;
-      hint_inc_[p] = owner_inc;
-    }
-  }
-  std::uint32_t HintIncOf(PageNum p) const {
-    return p < hint_inc_.size() ? hint_inc_[p] : 0;
-  }
-  // Drops every hint naming host `h` (returns how many were cleared). Called
-  // when `h` is observed to have reincarnated: its new life has amnesia, so
-  // chasing a hint at it would only burn a retry round per repeat fault.
-  std::size_t ClearHintsForHost(net::HostId h) {
-    std::size_t cleared = 0;
-    for (PageNum p = 0; p < hints_.size(); ++p) {
-      if (hints_[p] == h) {
-        hints_[p] = kNoHint;
-        hint_inc_[p] = 0;
-        ++cleared;
-      }
-    }
-    return cleared;
-  }
-
-  // Crash-with-amnesia: forgets every local copy and every probable-owner
-  // hint. The matching manager-side wipe lives in Directory::WipeForCrash.
+  // Crash-with-amnesia: forgets every local copy. The matching manager-side
+  // wipe lives in Directory::WipeForCrash.
   void WipeForCrash() {
     for (auto& e : local_) e = LocalPageEntry{};
-    std::fill(hints_.begin(), hints_.end(), kNoHint);
-    std::fill(hint_inc_.begin(), hint_inc_.end(), 0u);
   }
 
   PageNum num_pages() const { return static_cast<PageNum>(local_.size()); }
 
  private:
   std::vector<LocalPageEntry> local_;
-  std::vector<net::HostId> hints_;     // probable owner per page (kNoHint)
-  std::vector<std::uint32_t> hint_inc_;  // hinted owner's incarnation
 };
 
 }  // namespace mermaid::dsm

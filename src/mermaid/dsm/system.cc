@@ -389,6 +389,7 @@ std::string System::ReportStats() {
   // counted at the sending endpoint). Classes with no traffic are omitted.
   for (std::uint8_t op = kOpAlloc; op <= kOpMax; ++op) {
     const std::string cls = OpName(op);
+    if (cls == "other") continue;  // unassigned opcode
     std::int64_t msgs = 0, bytes = 0;
     for (auto& h : hosts_) {
       auto& es = h->endpoint().stats();

@@ -89,8 +89,8 @@ class System {
   // present so callers can Snapshot() unconditionally; empty when disabled.
   trace::Tracer& tracer() { return *tracer_; }
 
-  // Crash-stop with amnesia: host `h` loses every page copy, hint, manager
-  // entry, and in-flight operation; its incarnation is bumped so zombie
+  // Crash-stop with amnesia: host `h` loses every page copy, manager entry,
+  // and in-flight operation; its incarnation is bumped so zombie
   // replies from its previous life are fenced. The referee forgets its
   // copies and the sync server breaks any locks it held. Requires
   // config().crash_recovery. The host stays down (messages dropped) until

@@ -76,26 +76,6 @@ struct SystemConfig {
   // Check every typed access against the coherence referee (tests).
   bool referee_check_access = false;
 
-  // --- protocol fast paths (all default OFF so the paper-faithful message
-  // pattern — and Table 2/3/4 calibration — is bit-identical unless opted
-  // in; see DESIGN.md "Protocol fast paths") ------------------------------
-  //
-  // Probable-owner hints: requesters cache the last known owner per page
-  // (learned from fetch replies and invalidation traffic) and send read
-  // fetches directly to it, turning the common 3-hop fault into 2 hops. A
-  // stale hint is forwarded through the manager exactly once; in-flight
-  // hinted replies that cross an invalidation are fenced and discarded.
-  bool probable_owner = false;
-  // Batched group fetch: under the smallest-page-size algorithm a VM fault
-  // spanning N DSM pages issues one group-fetch request per remote manager
-  // (and per distinct owner) instead of N per-page round trips; replies
-  // carry a multi-page BufferChain. Read faults only.
-  bool group_fetch = false;
-  // Coalesced invalidation: a write VM fault spanning N DSM pages defers
-  // each page's invalidation and sends one batched invalidation message per
-  // copyset host (single aggregated ack) before any page becomes writable.
-  bool coalesced_invalidation = false;
-
   // Structured protocol tracing (trace::Tracer). Off by default: with trace
   // false every hook reduces to a flag test, modeled times are identical,
   // and no memory is spent beyond the (empty) ring. The capacity knob
@@ -109,7 +89,7 @@ struct SystemConfig {
   // When on: every reqrep request/reply carries the sender's incarnation
   // number (+4 wire bytes each way) so zombie traffic from a previous life
   // is fenced; System::CrashAndRestartHost wipes the crashed host's page
-  // table, hints, conversion cache, and manager maps (crash-with-amnesia)
+  // table, conversion cache, and manager maps (crash-with-amnesia)
   // and the restarted manager rebuilds owner/copyset state from live hosts'
   // claims via kOpRecoveryQuery.
   bool crash_recovery = false;
@@ -194,13 +174,10 @@ inline constexpr std::uint8_t kOpConfirmProbe = 7;  // manager -> requester
 inline constexpr std::uint8_t kOpGrantReject = 8;   // requester -> manager
 inline constexpr std::uint8_t kOpGrantExtend = 9;   // requester -> manager
 inline constexpr std::uint8_t kOpSync = 10;       // sync client -> sync server
-// Fast-path opcodes (only ever sent when the matching SystemConfig knob is
-// on, so the paper-faithful wire traffic never contains them).
-inline constexpr std::uint8_t kOpGroupFetch = 11;   // requester -> manager/owner
-inline constexpr std::uint8_t kOpGroupConfirm = 12; // requester -> manager (notify)
-inline constexpr std::uint8_t kOpInvalidateBatch = 13;  // writer -> copyset member
-inline constexpr std::uint8_t kOpHintConfirm = 14;  // requester -> manager (notify)
-inline constexpr std::uint8_t kOpHintCovered = 15;  // manager -> owner (notify)
+// 11-15 are unassigned: the numbering below stays fixed so wire images (and
+// the central server's kOpMax-relative opcodes) do not move. A message that
+// arrives with an unassigned opcode is counted and dropped by the endpoint.
+
 // Crash-stop recovery opcodes (only sent when SystemConfig::crash_recovery
 // is on). kOpRecoveryQuery: a restarted manager asks every live host what
 // it holds of the manager's pages; the reply carries per-page claims.
@@ -223,13 +200,11 @@ inline constexpr std::uint8_t kOpMgrMigrate = 20;     // manager -> new manager
 // Highest opcode, for per-class stats iteration.
 inline constexpr std::uint8_t kOpMax = kOpMgrMigrate;
 
-// Role byte inside kOpReadReq/kOpWriteReq/kOpGroupFetch bodies: the same
-// opcode serves the requester->manager leg, the forwarded manager->owner
-// leg, and (for reads with probable-owner hints on) the direct
-// requester->hinted-owner leg.
+// Role byte inside kOpReadReq/kOpWriteReq bodies: the same opcode serves
+// the requester->manager leg and the forwarded manager->owner leg. Any other
+// role is malformed and dropped.
 inline constexpr std::uint8_t kToManager = 0;
 inline constexpr std::uint8_t kToOwner = 1;
-inline constexpr std::uint8_t kToHintedOwner = 2;
 
 // Human-readable message-class name for an opcode (per-class wire counters
 // in the endpoint and ReportStats).
@@ -245,11 +220,6 @@ inline const char* OpName(std::uint8_t op) {
     case kOpGrantReject: return "grant_reject";
     case kOpGrantExtend: return "grant_extend";
     case kOpSync: return "sync";
-    case kOpGroupFetch: return "group_fetch";
-    case kOpGroupConfirm: return "group_confirm";
-    case kOpInvalidateBatch: return "invalidate_batch";
-    case kOpHintConfirm: return "hint_confirm";
-    case kOpHintCovered: return "hint_covered";
     case kOpRecoveryQuery: return "recovery_query";
     case kOpPageLost: return "page_lost";
     case kOpRecoveryDemote: return "recovery_demote";

@@ -232,7 +232,7 @@ class Endpoint {
   // the endpoint's locks) whenever incoming traffic reveals a peer
   // incarnation newer than previously known — i.e. the peer crash-restarted
   // with amnesia. Protocol layers use it to drop advisory state about the
-  // peer's previous life (e.g. probable-owner hints). Call before Start;
+  // peer's previous life (e.g. learned manager locations). Call before Start;
   // the callback must not block.
   void SetPeerIncObserver(
       std::function<void(HostId, std::uint32_t)> observer) {

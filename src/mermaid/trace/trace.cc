@@ -31,12 +31,6 @@ const char* KindName(EventKind k) {
     case EventKind::kRetransmit: return "Retransmit";
     case EventKind::kCallTimeout: return "CallTimeout";
     case EventKind::kSyncOp: return "SyncOp";
-    case EventKind::kHintFetch: return "HintFetch";
-    case EventKind::kHintServe: return "HintServe";
-    case EventKind::kHintStale: return "HintStale";
-    case EventKind::kGroupFetch: return "GroupFetch";
-    case EventKind::kGroupServe: return "GroupServe";
-    case EventKind::kInvalidateBatch: return "InvalidateBatch";
     case EventKind::kRecoveryStart: return "RecoveryStart";
     case EventKind::kRecoveryQuery: return "RecoveryQuery";
     case EventKind::kRecoveryRebuild: return "RecoveryRebuild";

@@ -63,14 +63,6 @@ enum class EventKind : std::uint8_t {
   kRetransmit,           // op = req id, a0 = attempt number
   kCallTimeout,          // op = req id
   kSyncOp,               // op = sync id, a0 = sub-operation
-  // Protocol fast paths (SystemConfig::probable_owner / group_fetch /
-  // coalesced_invalidation; see DESIGN.md "Protocol fast paths").
-  kHintFetch,            // a0 = hinted owner host
-  kHintServe,            // a0 = extent bytes, a1 = conversion-cache hit flag
-  kHintStale,            // a0 = manager the request was re-forwarded to
-  kGroupFetch,           // a0 = page count, a1 = manager host
-  kGroupServe,           // a0 = pages served with data, a1 = payload bytes
-  kInvalidateBatch,      // a0 = fan-out (targets this round), a1 = page count
   // Crash-stop recovery (SystemConfig::crash_recovery; see DESIGN.md
   // "Failure model"). The whole recovery of one host forms a causal chain
   // rooted at its kRecoveryStart, linked through RecoveryKey.
@@ -124,13 +116,6 @@ inline CausalKey FaultKey(std::uint16_t host, std::uint32_t page) {
 // The in-flight invalidation round for a page.
 inline CausalKey InvKey(std::uint32_t page) {
   return {(3ull << 32) | page, 0};
-}
-// A hinted (probable-owner) transfer, keyed by (requesting host, page): the
-// hinted leg has no manager-assigned op id, so the requester binds its
-// kHintFetch here and the hinted owner's serve (or stale re-forward) links
-// back through it.
-inline CausalKey HintKey(std::uint16_t host, std::uint32_t page) {
-  return {(4ull << 32) | page, host};
 }
 // One host's in-flight crash recovery: kRecoveryStart binds here and every
 // query/rebuild/lost/done event of that recovery links back through it.

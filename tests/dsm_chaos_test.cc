@@ -379,18 +379,15 @@ TEST(Chaos, CentralServerReadWriteUnderHeavyLoss) {
 }
 
 
-// All three protocol fast paths under sustained 30% loss: hinted fetches,
-// batched group fetches (smallest-page policy makes every Sun VM fault a
-// multi-page group), and coalesced invalidations must keep per-cell stamp
-// monotonicity and converge, with nothing stuck at quiescence. Seeded, so
-// a pass is a regression test, not a coin flip.
-TEST(Chaos, FastPathsSurviveHeavyLoss) {
+// Multi-page VM faults under sustained 30% loss: the smallest-page policy
+// makes every Sun VM fault acquire a group of DSM pages one by one, and the
+// mixed reads and writes must keep per-cell stamp monotonicity and
+// converge, with nothing stuck at quiescence. Seeded, so a pass is a
+// regression test, not a coin flip.
+TEST(Chaos, MultiPageVmFaultsSurviveHeavyLoss) {
   const std::uint64_t seed = 7777;
   sim::Engine eng;
   SystemConfig cfg = ChaosConfig(seed, 0.30);
-  cfg.probable_owner = true;
-  cfg.group_fetch = true;
-  cfg.coalesced_invalidation = true;
   cfg.page_policy = PageSizePolicy::kSmallest;
   constexpr int kHosts = 3;
   System sys(eng, cfg,
@@ -451,83 +448,10 @@ TEST(Chaos, FastPathsSurviveHeavyLoss) {
   EXPECT_TRUE(monotone.load()) << "a host observed a stale stamp";
   auto& st = sys.GatherStats();
   EXPECT_GT(st.Count("net.packets_dropped"), 0);
-  // The fast paths genuinely ran: the Sun host's multi-page VM faults used
-  // group fetch, and at least one fast-path mechanism fired elsewhere too.
-  EXPECT_GT(st.Count("dsm.group_fetches"), 0);
-  EXPECT_GT(st.Count("dsm.hint_fetches") + st.Count("dsm.group_serves") +
-                st.Count("dsm.batch_invalidations_sent"),
-            0);
-  ExpectQuiescent(sys);
-}
-
-// Partition-heal with the fast paths on: host 1 learns a probable-owner
-// hint for host 2's page, host 2 is partitioned away, and host 1's hinted
-// refetch must not wedge the protocol — whether the hinted call outlasts
-// the outage or times out and falls back, the read completes after the
-// heal, the follow-up write takes ownership, and everything reconverges.
-TEST(Chaos, FastPathsSurvivePartitionHeal) {
-  sim::Engine eng;
-  SystemConfig cfg = ChaosConfig(4243, 0.0);
-  cfg.probable_owner = true;
-  cfg.group_fetch = true;
-  cfg.coalesced_invalidation = true;
-  System sys(eng, cfg,
-             {&arch::Sun3Profile(), &arch::FireflyProfile(),
-              &arch::Sun3Profile()});
-  net::FaultPlan plan;
-  net::FaultPlan::Partition part;
-  part.group = {2};
-  part.from = Seconds(1);
-  part.until = Seconds(5);
-  plan.partitions.push_back(part);
-  sys.network().SetFaultPlan(plan);
-  sys.Start();
-
-  std::atomic<bool> reader_done{false}, writer_done{false};
-  sys.SpawnThread(0, "master", [&](Host& h) {
-    GlobalAddr a = sys.Alloc(0, Reg::kLong, 1);
-    h.Write<std::int64_t>(a, 0);
-    sys.sync(0).SemInit(1, 0);
-    // Host 2 takes ownership before the partition hits.
-    sys.SpawnThread(2, "owner", [&, a](Host& hh) {
-      hh.Write<std::int64_t>(a, 42);
-      sys.sync(2).V(1);
-    });
-    sys.sync(0).P(1);
-    // Host 1 reads pre-partition: learns hint = host 2.
-    sys.SpawnThread(1, "hint-learner", [&, a](Host& hh) {
-      EXPECT_EQ(hh.Read<std::int64_t>(a), 42);
-      sys.sync(1).V(1);
-    });
-    sys.sync(0).P(1);
-    // Host 2 rewrites, invalidating host 1's copy (the hint stays host 2),
-    // still before the partition at 1s.
-    sys.SpawnThread(2, "owner2", [&, a](Host& hh) {
-      hh.Write<std::int64_t>(a, 43);
-      sys.sync(2).V(1);
-    });
-    sys.sync(0).P(1);
-    sys.SpawnThread(1, "reader-writer", [&, a](Host& hh) {
-      // Refault inside the partition window: the hinted fetch targets the
-      // unreachable host 2, so it either rides retries through the heal or
-      // times out and falls back through the manager — both must complete.
-      hh.runtime().Delay(Seconds(2));
-      EXPECT_EQ(hh.Read<std::int64_t>(a), 43);
-      reader_done = true;
-      hh.Write<std::int64_t>(a, 77);
-      writer_done = true;
-      sys.sync(1).V(1);
-    });
-    sys.sync(0).P(1);
-    EXPECT_EQ(h.Read<std::int64_t>(a), 77);
-    h.runtime().Delay(Seconds(3));
-  });
-  eng.Run();
-  EXPECT_TRUE(reader_done.load());
-  EXPECT_TRUE(writer_done.load());
-  auto& st = sys.GatherStats();
-  EXPECT_GT(st.Count("net.partition_dropped"), 0);
-  EXPECT_GT(st.Count("dsm.hint_fetches") + st.Count("dsm.hint_confirms"), 0);
+  // The Sun host's VM faults genuinely spanned several DSM pages each.
+  auto& sun = sys.host(0).stats();
+  EXPECT_GT(sun.Count("dsm.read_faults") + sun.Count("dsm.write_faults"),
+            sun.Count("dsm.vm_faults"));
   ExpectQuiescent(sys);
 }
 

@@ -462,11 +462,11 @@ TEST(DirRecovery, ReclaimAfterAdoptedManagerDeath) {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos with every knob on: dynamic directory + hot-page voting + probable
-// owner + group fetch + coalesced invalidation + crash recovery, 30% loss,
-// zipf-skewed access, and a crash of the shard-heaviest host mid-run. The
-// scenario runs twice and must produce byte-identical results and stats —
-// the whole stack stays deterministic under chaos.
+// Chaos with every directory knob on: dynamic directory + hot-page voting
+// + crash recovery, 30% loss, zipf-skewed access, and a crash of the
+// shard-heaviest host mid-run. The scenario runs twice and must produce
+// byte-identical results and stats — the whole stack stays deterministic
+// under chaos.
 
 struct ChaosOutcome {
   std::vector<std::int64_t> finals;
@@ -490,9 +490,6 @@ ChaosOutcome RunDirChaos(std::uint64_t seed) {
   cfg.directory_mode = SystemConfig::DirectoryMode::kDynamic;
   cfg.hot_page_migration = true;
   cfg.hot_page_threshold = 4;
-  cfg.probable_owner = true;
-  cfg.group_fetch = true;
-  cfg.coalesced_invalidation = true;
   cfg.crash_recovery = true;
   cfg.lost_page_policy = SystemConfig::LostPagePolicy::kReinitZero;
 

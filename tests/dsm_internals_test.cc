@@ -177,6 +177,43 @@ TEST(Robustness, OutOfRangePageFromTheWireIsDropped) {
   EXPECT_EQ(sys.host(0).stats().Count("dsm.malformed"), 3);
 }
 
+// A transfer request whose role byte is neither kToManager nor kToOwner
+// must be counted malformed and dropped: no reply, and no grant from the
+// page's manager. Role 2 is an unassigned value; 0xFF is plain garbage.
+TEST(Robustness, UnknownTransferRoleIsDropped) {
+  sim::Engine eng;
+  SystemConfig cfg;
+  cfg.region_bytes = 64 * 1024;
+  System sys(eng, cfg, {&arch::FireflyProfile(), &arch::FireflyProfile()});
+  sys.Start();
+
+  std::vector<net::CallStatus> statuses;
+  sys.SpawnThread(1, "rogue", [&](Host& h) {
+    for (const std::uint8_t role : {std::uint8_t{2}, std::uint8_t{0xFF}}) {
+      for (const std::uint8_t op : {kOpReadReq, kOpWriteReq}) {
+        base::WireWriter w;
+        w.U8(role);
+        w.U32(0);  // page 0, managed (and owned) by host 0
+        w.U8(0);   // has_copy
+        net::Endpoint::CallOpts opts;
+        opts.timeout = Milliseconds(100);
+        opts.max_attempts = 1;
+        statuses.push_back(h.endpoint()
+                               .CallWithStatus(0, op, std::move(w).Take(),
+                                               net::MsgKind::kControl, opts)
+                               .status);
+      }
+    }
+  });
+  eng.Run();
+  ASSERT_EQ(statuses.size(), 4u);
+  for (const net::CallStatus s : statuses) {
+    EXPECT_EQ(s, net::CallStatus::kTimedOut) << "a bad role got a reply";
+  }
+  EXPECT_EQ(sys.host(0).ManagerGrantsTotal(), 0u);
+  EXPECT_EQ(sys.host(0).stats().Count("dsm.malformed"), 4);
+}
+
 // Region-boundary behavior: a fault group near the end of the region stops
 // at the last page instead of running past it.
 TEST(Robustness, FaultGroupClampsAtRegionEnd) {

@@ -245,68 +245,6 @@ TEST(RcTrace, TwinDiffNoticeChainReplays) {
   ExpectQuiescent(sys);
 }
 
-// Regression (stale probable-owner hints across reincarnation): host 0
-// learns hint "page 1 lives on host 2", then host 2 crashes and restarts
-// with amnesia. Observing the new incarnation — here via the restarted
-// host's recovery query — must clear every hint naming host 2, so later
-// faults go through the manager instead of chasing a ghost owner.
-TEST(RcRegression, ReincarnationClearsStaleHints) {
-  sim::Engine eng;
-  SystemConfig cfg;
-  cfg.region_bytes = 256 * 1024;
-  cfg.page_bytes_override = 1024;
-  cfg.referee_check_access = true;
-  cfg.crash_recovery = true;
-  cfg.probable_owner = true;
-  // The other fast paths ride along: the hint-clearing fix must compose.
-  cfg.group_fetch = true;
-  cfg.coalesced_invalidation = true;
-  cfg.net.seed = 8400;
-  cfg.call_timeout = Milliseconds(150);
-  cfg.call_max_attempts = 30;
-  cfg.janitor_period = Milliseconds(100);
-  cfg.confirm_probe_after = Milliseconds(300);
-  System sys(eng, cfg,
-             {&arch::Sun3Profile(), &arch::FireflyProfile(),
-              &arch::FireflyProfile()});
-  sys.Start();
-
-  net::HostId hint_before = PageTable::kNoHint;
-  net::HostId hint_after_recovery = 2;
-  std::int64_t converged = -1;
-  sys.SpawnThread(0, "master", [&](Host& h) {
-    GlobalAddr base = sys.Alloc(0, Reg::kLong, 384);  // pages 0..2
-    const GlobalAddr a = base + 1024;                 // page 1: manager host 1
-    sys.sync(0).SemInit(1, 0);
-    sys.SpawnThread(2, "owner", [&, a](Host& hh) {
-      hh.Write<std::int64_t>(a, 42);
-      sys.sync(2).V(1);
-    });
-    sys.sync(0).P(1);
-    // Learn the hint: the read forwards through manager 1 to owner 2.
-    EXPECT_EQ(h.Read<std::int64_t>(a), 42);
-    hint_before = h.HintSnapshot(1);
-    // Host 2 dies with amnesia and restarts; its recovery query carries the
-    // new incarnation, which every live host must treat as a hint poison.
-    sys.CrashAndRestartHost(2, Seconds(2));
-    h.runtime().Delay(Seconds(5));  // recovery + probe drain
-    // The restarted host's recovery query carried its new incarnation, so
-    // the stale hint must be gone BEFORE any fresh fault re-learns one.
-    hint_after_recovery = h.HintSnapshot(1);
-    h.Write<std::int64_t>(a, 43);
-    converged = h.Read<std::int64_t>(a);
-    h.runtime().Delay(Seconds(3));
-  });
-  eng.Run();
-  EXPECT_EQ(hint_before, 2) << "test setup: host 0 should have learned the "
-                               "owner hint before the crash";
-  EXPECT_EQ(converged, 43);
-  EXPECT_EQ(hint_after_recovery, PageTable::kNoHint)
-      << "stale hint naming the reincarnated host survived";
-  EXPECT_GE(sys.GatherStats().Count("dsm.hints_cleared_reincarnation"), 1);
-  ExpectQuiescent(sys);
-}
-
 // Regression (convert cache vs. diff writes): a diff flush mutates the home
 // copy without a fault-path write, so it must still advance the version and
 // drop the owner-side conversion cache — otherwise the very next read fault
@@ -317,12 +255,8 @@ TEST(RcRegression, DiffApplyInvalidatesConvertCache) {
   sim::Engine eng;
   SystemConfig cfg = RcConfig();
   cfg.page_bytes_override = 1024;
-  // Every protocol knob on: RC + the fast paths (hints are internally
-  // disabled under RC, the rest compose) + crash recovery's incarnation
-  // headers. The diff/cache invariant must hold in the full configuration.
-  cfg.probable_owner = true;
-  cfg.group_fetch = true;
-  cfg.coalesced_invalidation = true;
+  // RC plus crash recovery's incarnation headers: the diff/cache invariant
+  // must hold with every wire field on.
   cfg.crash_recovery = true;
   cfg.net.seed = 8500;
   System sys(eng, cfg,

@@ -132,17 +132,16 @@ TEST(Recovery, DirtyOwnerCrashReinitializesLostPage) {
   ExpectQuiescent(sys);
 }
 
-// Crash mid-group-fetch with survivors: host 1 owns a 12-page array, the
-// Sun host's large VM pages have group-fetched read copies of all of it,
-// and host 2 is reading when host 1 dies. Every page has a surviving copy,
+// Owner crash after multi-page reads, with survivors: host 1 owns a
+// 12-page array, the Sun host's large VM faults have fetched read copies of
+// all of it, and host 2 is reading when host 1 dies. Every page has a surviving copy,
 // so recovery must promote host 0 (live-manager heals for pages it does
 // not manage, rebuild promotion for host 1's own pages) and no data may be
 // lost or reinitialized.
-TEST(Recovery, GroupFetchCrashPromotesSurvivingCopies) {
+TEST(Recovery, MultiPageReadCopiesSurviveOwnerCrash) {
   constexpr int kPages = 12;
   sim::Engine eng;
   SystemConfig cfg = RecoveryConfig(61003);
-  cfg.group_fetch = true;
   System sys(eng, cfg,
              {&arch::Sun3Profile(), &arch::FireflyProfile(),
               &arch::FireflyProfile()});
@@ -183,7 +182,6 @@ TEST(Recovery, GroupFetchCrashPromotesSurvivingCopies) {
         << "surviving copy lost across the crash, page " << p;
   }
   auto& st = sys.GatherStats();
-  EXPECT_GT(st.Count("dsm.group_fetches"), 0);
   EXPECT_EQ(st.Count("dsm.crashes"), 1);
   EXPECT_GE(st.Count("dsm.recovery_promotions"), 1);
   EXPECT_EQ(st.Count("dsm.recovery_pages_lost"), 0);

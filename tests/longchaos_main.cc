@@ -41,11 +41,6 @@ dsm::SystemConfig SoakConfig(std::uint64_t seed) {
   // Sole-owner copies legitimately die in this workload; reinit-to-zero
   // keeps the soak running and counts the losses instead of aborting.
   cfg.lost_page_policy = dsm::SystemConfig::LostPagePolicy::kReinitZero;
-  // probable_owner stays OFF: a hint-served reader invisible to the manager
-  // can survive a reinit and trip the referee (documented in DESIGN.md,
-  // "Failure model").
-  cfg.group_fetch = true;
-  cfg.coalesced_invalidation = true;
   cfg.net.seed = seed;
   cfg.net.loss_probability = 0.30;
   cfg.call_timeout = Milliseconds(150);

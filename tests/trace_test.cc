@@ -257,154 +257,6 @@ TEST(TraceLitmus, TracingDoesNotPerturbModeledTime) {
       << "virtual end time must be bit-identical with tracing on or off";
 }
 
-
-// Probable-owner litmus: one run that exercises both hinted outcomes.
-// Page 1 (managed by host 1) is owned by host 2; host 0 read-faults three
-// times: via the manager (learning the hint), via a hint HIT (2-hop serve),
-// and — after host 1 steals ownership — via a STALE hint that host 2
-// re-forwards through the manager.
-LitmusRun RunHintLitmus() {
-  sim::Engine eng;
-  dsm::SystemConfig cfg;
-  cfg.region_bytes = 1u << 20;
-  cfg.page_bytes_override = 8192;
-  cfg.trace = true;
-  cfg.probable_owner = true;
-  std::vector<const arch::ArchProfile*> hosts{&arch::Sun3Profile(),
-                                              &arch::Sun3Profile(),
-                                              &arch::Sun3Profile()};
-  dsm::System sys(eng, cfg, hosts);
-  sys.Start();
-  const dsm::GlobalAddr a = 8192;  // page 1, managed by host 1
-
-  // Invalidations retarget the victim's hint at the new writer, so to leave
-  // host 0 with a genuinely stale hint it must hold NO copy when ownership
-  // moves: host 2 re-takes the page (invalidating host 0) before host 1
-  // usurps ownership — that last transfer never touches host 0.
-  sys.SpawnThread(2, "first-owner", [&](dsm::Host& h) {
-    sys.Alloc(2, arch::TypeRegistry::kInt, 6144);  // pages 0..2
-    h.Write<std::int32_t>(a, 1);
-    sys.sync(2).EventSet(1);
-    sys.sync(2).EventWait(2);
-    h.Write<std::int32_t>(a, 2);  // invalidates host 0; host 2 still owner
-    sys.sync(2).EventSet(3);
-    sys.sync(2).EventWait(4);
-    h.Write<std::int32_t>(a, 3);  // host 0 drops its copy, hint stays = 2
-    sys.sync(2).EventSet(5);
-  });
-  sys.SpawnThread(1, "usurper", [&](dsm::Host& h) {
-    sys.sync(1).EventWait(5);
-    h.Write<std::int32_t>(a, 4);  // ownership moves: host 0's hint is stale
-    sys.sync(1).EventSet(6);
-    sys.sync(1).EventWait(7);  // outlive host 0's final confirm
-    sys.sync(1).EventSet(8);
-  });
-  sys.SpawnThread(0, "reader", [&](dsm::Host& h) {
-    sys.sync(0).EventWait(1);
-    EXPECT_EQ(h.Read<std::int32_t>(a), 1);  // manager path, learns hint
-    sys.sync(0).EventSet(2);
-    sys.sync(0).EventWait(3);
-    EXPECT_EQ(h.Read<std::int32_t>(a), 2);  // hint hit
-    sys.sync(0).EventSet(4);
-    sys.sync(0).EventWait(6);
-    EXPECT_EQ(h.Read<std::int32_t>(a), 4);  // stale hint falls back
-    sys.sync(0).EventSet(7);
-    sys.sync(0).EventWait(8);
-  });
-  eng.Run();
-  return LitmusRun{sys.tracer().Snapshot(), eng.Now(),
-                   sys.tracer().total_recorded()};
-}
-
-TEST(TraceLitmus, HintHitChainsFaultFetchServeInstall) {
-  const LitmusRun run = RunHintLitmus();
-  ASSERT_FALSE(run.events.empty());
-  std::map<std::uint64_t, const Event*> by_id;
-  for (const Event& ev : run.events) by_id[ev.id] = &ev;
-
-  // The hint-hit transfer is the only one with op id 0: find its install.
-  const Event* install = nullptr;
-  for (const Event& ev : run.events) {
-    if (ev.kind == EventKind::kInstall && ev.host == 0 && ev.page == 1 &&
-        ev.op == 0) {
-      install = &ev;
-    }
-  }
-  ASSERT_NE(install, nullptr) << "no manager-less (op 0) install";
-
-  // install <- owner serve on the hinted host, no manager leg in between.
-  ASSERT_NE(install->parent, 0u);
-  const Event* serve = by_id.at(install->parent);
-  EXPECT_EQ(serve->kind, EventKind::kOwnerServe);
-  EXPECT_EQ(serve->host, 2);
-  EXPECT_EQ(serve->op, 0u);
-
-  // The owner also marked the serve as hinted and chained it to the fetch.
-  const Event* hint_serve = FindLast(run.events, EventKind::kHintServe, 2, 1);
-  ASSERT_NE(hint_serve, nullptr);
-  ASSERT_NE(hint_serve->parent, 0u);
-  const Event* fetch = by_id.at(hint_serve->parent);
-  EXPECT_EQ(fetch->kind, EventKind::kHintFetch);
-  EXPECT_EQ(fetch->host, 0);
-  EXPECT_EQ(fetch->a0, 2) << "fetch went straight to the hinted owner";
-
-  // fetch <- the fault that triggered it, and that fault closed.
-  ASSERT_NE(fetch->parent, 0u);
-  const Event* fault = by_id.at(fetch->parent);
-  EXPECT_EQ(fault->kind, EventKind::kFaultStart);
-  EXPECT_EQ(fault->host, 0);
-  EXPECT_EQ(fault->page, 1u);
-
-  EXPECT_LE(fault->at, fetch->at);
-  EXPECT_LE(fetch->at, hint_serve->at);
-  EXPECT_LE(hint_serve->at, install->at);
-
-  // No manager event participates between fetch and install: every grant on
-  // the manager happened outside [fetch, install] sim-time for op 0.
-  for (const Event& ev : run.events) {
-    if (ev.kind == EventKind::kManagerGrant && ev.page == 1) {
-      EXPECT_TRUE(ev.at <= fetch->at || ev.at >= install->at)
-          << "manager grant inside a hint-hit window";
-    }
-  }
-}
-
-TEST(TraceLitmus, StaleHintReforwardsThroughManagerGrant) {
-  const LitmusRun run = RunHintLitmus();
-  std::map<std::uint64_t, const Event*> by_id;
-  for (const Event& ev : run.events) by_id[ev.id] = &ev;
-
-  // Host 2 detected the stale hint and re-forwarded to the manager.
-  const Event* stale = FindLast(run.events, EventKind::kHintStale, 2, 1);
-  ASSERT_NE(stale, nullptr);
-  EXPECT_EQ(stale->a0, 1) << "re-forwarded to the manager, host 1";
-  ASSERT_NE(stale->parent, 0u);
-  const Event* fetch = by_id.at(stale->parent);
-  EXPECT_EQ(fetch->kind, EventKind::kHintFetch);
-  EXPECT_EQ(fetch->host, 0);
-
-  // The manager's grant for the fallback chains through the stale event,
-  // so the extra hop is visible in the causal record.
-  const Event* grant = FindLast(run.events, EventKind::kManagerGrant, 1, 1);
-  ASSERT_NE(grant, nullptr);
-  EXPECT_EQ(grant->parent, stale->id);
-  EXPECT_NE(grant->op, 0u);
-
-  // The fallback transfer completes as a normal manager-path install.
-  const Event* install = nullptr;
-  for (const Event& ev : run.events) {
-    if (ev.kind == EventKind::kInstall && ev.host == 0 && ev.page == 1 &&
-        ev.op == grant->op) {
-      install = &ev;
-    }
-  }
-  ASSERT_NE(install, nullptr);
-  EXPECT_LE(fetch->at, stale->at);
-  EXPECT_LE(stale->at, grant->at);
-  EXPECT_LE(grant->at, install->at);
-}
-
-
 TEST(TraceExport, ChromeTraceIsStructurallyValidJson) {
   const LitmusRun run = RunLitmus(/*trace_on=*/true);
   const std::string json = ChromeTraceJson(run.events);
