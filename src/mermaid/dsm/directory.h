@@ -93,7 +93,7 @@ class Directory {
   ManagerEntry& AdoptManager(PageNum p);  // create (migration target)
   void EraseManager(PageNum p);           // drop (migration source)
 
-  // Ascending page order, matching the janitor's historical scan order.
+  // Ascending page order.
   template <typename Fn>
   void ForEachManaged(Fn&& fn) {
     for (auto& [p, m] : entries_) fn(p, m);

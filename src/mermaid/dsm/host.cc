@@ -173,17 +173,24 @@ void Host::Start() {
             std::lock_guard<std::mutex> lk(state_mu_);
             if (recovering_) continue;  // entries are being rebuilt
             const SimTime now = rt_.Now();
-            dir_.ForEachManaged([&](PageNum p, ManagerEntry& m2) {
-              // Local requesters recover in their own fault path (they
-              // revoke their grant directly on a failed owner fetch); the
-              // janitor only chases remote ones.
-              if (!m2.busy || m2.busy_requester == self_) return;
-              if (now - m2.busy_since > cfg_.grant_lease) {
-                expired.push_back({p, m2.busy_op_id});
-              } else if (now - m2.busy_since > cfg_.confirm_probe_after) {
-                probes.push_back({p, m2.busy_op_id, m2.busy_requester});
+            // Ascending page order, like a scan of every managed entry.
+            // Local requesters recover in their own fault path (they
+            // revoke their grant directly on a failed owner fetch); the
+            // janitor only chases remote ones.
+            for (auto it = busy_watch_.begin(); it != busy_watch_.end();) {
+              const ManagerEntry* m2 = dir_.FindManager(*it);
+              if (m2 == nullptr || !m2->busy ||
+                  m2->busy_requester == self_) {
+                it = busy_watch_.erase(it);
+                continue;
               }
-            });
+              if (now - m2->busy_since > cfg_.grant_lease) {
+                expired.push_back({*it, m2->busy_op_id});
+              } else if (now - m2->busy_since > cfg_.confirm_probe_after) {
+                probes.push_back({*it, m2->busy_op_id, m2->busy_requester});
+              }
+              ++it;
+            }
           }
           for (const auto& [page, op_id] : expired) {
             stats_.Inc("dsm.grant_lease_expired");
@@ -953,18 +960,25 @@ ManagerGrant Host::BuildGrantLocked(PageNum p, net::HostId requester,
       if (h != requester && h != m.owner) g.to_invalidate.push_back(h);
     }
   }
-  m.busy = true;
-  m.busy_op_id = g.op_id;
-  m.busy_requester = requester;
-  m.busy_is_write = is_write;
-  m.busy_new_version = g.new_version;
-  m.busy_since = rt_.Now();
+  MarkBusyLocked(p, m, g.op_id, requester, is_write, g.new_version);
   const std::uint64_t grant_ev =
       TraceEv(trace::EventKind::kManagerGrant, p, g.op_id,
               TraceParent(trace::FaultKey(requester, p)), is_write ? 1 : 0,
               g.owner);
   TraceBind(trace::OpKey(p, g.op_id), grant_ev);
   return g;
+}
+
+void Host::MarkBusyLocked(PageNum p, ManagerEntry& m, std::uint64_t op_id,
+                          net::HostId requester, bool is_write,
+                          std::uint64_t new_version) {
+  m.busy = true;
+  m.busy_op_id = op_id;
+  m.busy_requester = requester;
+  m.busy_is_write = is_write;
+  m.busy_new_version = new_version;
+  m.busy_since = rt_.Now();
+  if (requester != self_) busy_watch_.insert(p);
 }
 
 void Host::ManagerIssue(PageNum p, PendingTransfer t) {
@@ -2305,6 +2319,7 @@ void Host::CrashWipe() {
     });
     ptable_.WipeForCrash();
     dir_.WipeForCrash();
+    busy_watch_.clear();
     reclaiming_.clear();
     std::fill(mem_.begin(), mem_.end(), 0);
     for (auto& [p, chans] : fault_waiters_) {
@@ -2844,12 +2859,8 @@ void Host::RunManagerRecovery() {
           m.owner = infl->host;
           m.version = infl->op_new_version;
         }
-        m.busy = true;
-        m.busy_op_id = infl->op_id;
-        m.busy_requester = infl->host;
-        m.busy_is_write = infl->op_is_write;
-        m.busy_new_version = infl->op_new_version;
-        m.busy_since = rt_.Now();
+        MarkBusyLocked(p, m, infl->op_id, infl->host, infl->op_is_write,
+                       infl->op_new_version);
         ++adopted;
         stats_.Inc("dsm.recovery_inflight_adopted");
       }
@@ -3340,12 +3351,8 @@ void Host::RunReclaim(PageNum p) {
           m.version = infl->op_new_version;
           m.type = infl->type;
         }
-        m.busy = true;
-        m.busy_op_id = infl->op_id;
-        m.busy_requester = infl->host;
-        m.busy_is_write = infl->op_is_write;
-        m.busy_new_version = infl->op_new_version;
-        m.busy_since = rt_.Now();
+        MarkBusyLocked(p, m, infl->op_id, infl->host, infl->op_is_write,
+                       infl->op_new_version);
         stats_.Inc("dsm.recovery_inflight_adopted");
       }
       // Demotes addressed to this host apply inline, mirroring

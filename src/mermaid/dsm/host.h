@@ -346,6 +346,12 @@ class Host {
   // --- manager role -------------------------------------------------------
   ManagerGrant BuildGrantLocked(PageNum p, net::HostId requester,
                                 bool is_write, bool has_copy);
+  // Makes `m` (page p's entry) busy with the transfer `op_id` and, for a
+  // remote requester, files p in busy_watch_ for the janitor. Every site
+  // that sets ManagerEntry::busy goes through here. Caller holds state_mu_.
+  void MarkBusyLocked(PageNum p, ManagerEntry& m, std::uint64_t op_id,
+                      net::HostId requester, bool is_write,
+                      std::uint64_t new_version);
   // Processes one pending transfer (issues grant / forward / direct serve).
   void ManagerIssue(PageNum p, PendingTransfer t);
   void ManagerCommit(PageNum p, std::uint64_t op_id, net::HostId requester,
@@ -503,6 +509,12 @@ class Host {
   sim::Chan<MigrateJob> migrate_chan_;
   std::set<PageNum> reclaiming_;
   std::uint64_t mgr_grants_total_ = 0;
+  // Pages whose manager entry went busy for a remote requester: a superset
+  // of the entries the janitor chases, so a tick walks these instead of
+  // every managed entry. The janitor drops pages whose entry is gone, idle
+  // or locally requested; a crash wipe clears the set with the entries.
+  // Guarded by state_mu_.
+  std::set<PageNum> busy_watch_;
   // Local fault coalescing: threads faulting a page another thread is
   // already fetching wait here and re-check.
   std::map<PageNum, std::vector<sim::Chan<bool>>> fault_waiters_;

@@ -1,7 +1,6 @@
 #include "mermaid/sim/engine.h"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,12 +20,73 @@
 #endif
 
 #ifdef MERMAID_HAS_ASAN
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
+#endif
+
+#if !defined(__x86_64__)
+// The fiber switch below is x86-64 SysV assembly. Another target needs its
+// own version of both routines (see DESIGN.md "Fibers").
+#error "sim::Engine: port mermaid_fiber_switch and mermaid_fiber_start"
 #endif
 
 #ifndef MAP_STACK
 #define MAP_STACK 0
 #endif
+
+// mermaid_fiber_switch(save, load) suspends the caller and resumes another
+// fiber: it pushes the SysV callee-saved registers (rbp, rbx, r12-r15) and
+// the FP control state (MXCSR, x87 control word) on the current stack,
+// stores the stack pointer in *save, then loads `load` and pops the same
+// frame from there. Caller-saved state needs no saving: the call itself
+// clobbers it. A fresh stack holds a frame whose return address is
+// mermaid_fiber_start, which calls r13(r12) and must never return.
+extern "C" void mermaid_fiber_switch(void** save, void* load);
+extern "C" void mermaid_fiber_start();
+
+asm(R"(
+  .text
+  .p2align 4
+  .globl mermaid_fiber_switch
+  .hidden mermaid_fiber_switch
+  .type mermaid_fiber_switch, @function
+mermaid_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size mermaid_fiber_switch, .-mermaid_fiber_switch
+
+  .p2align 4
+  .globl mermaid_fiber_start
+  .hidden mermaid_fiber_start
+  .type mermaid_fiber_start, @function
+mermaid_fiber_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size mermaid_fiber_start, .-mermaid_fiber_start
+)");
 
 namespace mermaid::sim {
 
@@ -59,6 +119,17 @@ inline void AsanFinishSwitch(void* fake_restore, const void** old_lo,
   (void)old_sz;
 #endif
 }
+
+// A new stack may reuse the addresses of an unmapped one whose last frames
+// left poisoned shadow behind; start it clean.
+inline void AsanUnpoisonStack(void* lo, std::size_t sz) {
+#ifdef MERMAID_HAS_ASAN
+  __asan_unpoison_memory_region(lo, sz);
+#else
+  (void)lo;
+  (void)sz;
+#endif
+}
 }  // namespace
 
 struct Engine::Proc {
@@ -72,9 +143,10 @@ struct Engine::Proc {
   SimTime wake_time = 0;
   std::uint64_t seq = 0;
   bool running = false;
-  // Fiber context plus an mmapped stack with a guard page at the low end.
-  // asan_fake is ASan's fake-stack handle for this fiber.
-  ucontext_t uctx = {};
+  // Saved stack pointer while switched out, plus an mmapped stack with a
+  // guard page at the low end. asan_fake is ASan's fake-stack handle for
+  // this fiber.
+  void* sp = nullptr;
   void* stack_base = nullptr;
   std::size_t stack_total = 0;
   void* stack_lo = nullptr;
@@ -83,7 +155,7 @@ struct Engine::Proc {
 };
 
 struct Engine::FiberState {
-  ucontext_t sched_ctx = {};
+  void* sched_sp = nullptr;  // Run() thread's stack pointer while a fiber runs
   void* sched_fake = nullptr;  // ASan handle for the Run() thread's stack
   const void* sched_lo = nullptr;
   std::size_t sched_sz = 0;
@@ -361,10 +433,9 @@ void Engine::DeadlockLocked() {
 // ---------------------------------------------------------------------------
 // Fiber machinery.
 
-void Engine::FiberTrampoline(unsigned hi, unsigned lo) {
-  auto* p = reinterpret_cast<Proc*>((static_cast<std::uintptr_t>(hi) << 32) |
-                                    static_cast<std::uintptr_t>(lo));
+void Engine::FiberEntry(Proc* p) {
   p->eng->FiberMain(p);
+  std::abort();  // a finished fiber is never resumed
 }
 
 void Engine::CreateFiber(Proc* p) {
@@ -379,21 +450,33 @@ void Engine::CreateFiber(Proc* p) {
   p->stack_total = total;
   p->stack_lo = static_cast<char*>(base) + page;
   p->stack_usable = usable;
-  MERMAID_CHECK(getcontext(&p->uctx) == 0);
-  p->uctx.uc_stack.ss_sp = p->stack_lo;
-  p->uctx.uc_stack.ss_size = usable;
-  p->uctx.uc_link = nullptr;
-  // makecontext only forwards ints; split the pointer across two.
-  const auto ptr = reinterpret_cast<std::uintptr_t>(p);
-  makecontext(&p->uctx, reinterpret_cast<void (*)()>(&Engine::FiberTrampoline),
-              2, static_cast<unsigned>(ptr >> 32),
-              static_cast<unsigned>(ptr & 0xffffffffu));
+  AsanUnpoisonStack(p->stack_lo, usable);
+  // The frame mermaid_fiber_switch pops, lowest address first: FP control
+  // state, r15, r14, r13, r12, rbx, rbp, return address. The fiber starts
+  // with the creator's FP control state, as a thread inherits its parent's.
+  // Its stack top is 16-byte aligned, so mermaid_fiber_start's call enters
+  // FiberEntry with the ABI's alignment; rbp 0 ends frame-pointer walks.
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fpucw = 0;
+  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fpucw));
+  auto* top = reinterpret_cast<std::uintptr_t*>(
+      static_cast<char*>(p->stack_lo) + usable);
+  const auto entry = reinterpret_cast<std::uintptr_t>(&Engine::FiberEntry);
+  top[-1] = reinterpret_cast<std::uintptr_t>(&mermaid_fiber_start);
+  top[-2] = 0;                                    // rbp
+  top[-3] = 0;                                    // rbx
+  top[-4] = reinterpret_cast<std::uintptr_t>(p);  // r12
+  top[-5] = entry;                                // r13
+  top[-6] = 0;                                    // r14
+  top[-7] = 0;                                    // r15
+  top[-8] = mxcsr | (std::uintptr_t{fpucw} << 32);
+  p->sp = &top[-8];
 }
 
 void Engine::SwitchToFiber(Proc* p) {
   tls_proc = p;
   AsanStartSwitch(&fibers_->sched_fake, p->stack_lo, p->stack_usable);
-  swapcontext(&fibers_->sched_ctx, &p->uctx);
+  mermaid_fiber_switch(&fibers_->sched_sp, p->sp);
   AsanFinishSwitch(fibers_->sched_fake, nullptr, nullptr);
   tls_proc = nullptr;
 }
@@ -402,7 +485,7 @@ void Engine::SwitchToScheduler(Proc* p, bool final_exit) {
   // On final exit pass nullptr so ASan releases this fiber's fake stack.
   AsanStartSwitch(final_exit ? nullptr : &p->asan_fake, fibers_->sched_lo,
                   fibers_->sched_sz);
-  swapcontext(&p->uctx, &fibers_->sched_ctx);
+  mermaid_fiber_switch(&p->sp, fibers_->sched_sp);
   AsanFinishSwitch(p->asan_fake, &fibers_->sched_lo, &fibers_->sched_sz);
 }
 
@@ -422,7 +505,6 @@ void Engine::FiberMain(Proc* p) {
     current_ = nullptr;
   }
   SwitchToScheduler(p, /*final_exit=*/true);
-  std::abort();  // a finished fiber is never resumed
 }
 
 // ---------------------------------------------------------------------------

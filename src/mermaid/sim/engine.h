@@ -9,8 +9,9 @@
 // identical virtual timings.
 //
 // Processes are user-level fibers driven by the thread that calls Run(); a
-// switch is a user-space context swap. Waiting processes sit in one
-// (wake_time, seq) heap (see DESIGN.md "Engine internals").
+// switch is a user-space stack swap with no system call (x86-64 only; see
+// DESIGN.md "Fibers"). Waiting processes sit in one (wake_time, seq) heap
+// (see DESIGN.md "Engine internals").
 //
 // Lifecycle: Spawn processes (daemon = server loops), then Run(). Run
 // returns when every non-daemon process has finished; at that point all
@@ -112,7 +113,8 @@ class Engine final : public Runtime {
   void SwitchToFiber(Proc* p);
   void SwitchToScheduler(Proc* p, bool final_exit);
   void FiberMain(Proc* p);
-  static void FiberTrampoline(unsigned hi, unsigned lo);
+  // First code a fresh fiber runs (entered from mermaid_fiber_start).
+  [[noreturn]] static void FiberEntry(Proc* p);
 
   SimTime now_rel() const { return now_.load(std::memory_order_relaxed); }
 

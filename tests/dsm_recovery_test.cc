@@ -283,6 +283,64 @@ TEST(Recovery, RequesterCrashMidFaultFencesZombieOps) {
   ExpectQuiescent(sys);
 }
 
+// A writer holds a decoded grant in flight across its manager's crash and
+// restart: host 3's invalidation ack to the writer is lost until 4 s, and
+// every message from the writer to the manager (its rebuild claim, then its
+// confirm) is lost from 0.5 s, after its grant request, until 6 s. The
+// rebuilt manager adopts the claimed grant as busy once the claim gets
+// through; the confirm it was sent is long gone, so its janitor must probe
+// the writer, whose replayed confirm commits the write.
+TEST(Recovery, RebuiltManagerProbesAdoptedInflightGrant) {
+  sim::Engine eng;
+  System sys(eng, RecoveryConfig(61007),
+             {&arch::Sun3Profile(), &arch::FireflyProfile(),
+              &arch::FireflyProfile(), &arch::FireflyProfile()});
+  net::FaultPlan plan;
+  net::FaultPlan::DropRule ack;  // copy holder 3 -> writer 2
+  ack.src = 3;
+  ack.dst = 2;
+  ack.until = Seconds(4);
+  plan.drops.push_back(ack);
+  net::FaultPlan::DropRule confirm;  // writer 2 -> manager 1
+  confirm.src = 2;
+  confirm.dst = 1;
+  confirm.from = Milliseconds(500);
+  confirm.until = Seconds(6);
+  plan.drops.push_back(confirm);
+  sys.network().SetFaultPlan(plan);
+  sys.Start();
+
+  std::int64_t seen = -1;
+  sys.SpawnThread(0, "master", [&](Host& h) {
+    GlobalAddr base = sys.Alloc(0, Reg::kLong, 384);  // pages 0..2
+    const GlobalAddr a = base + 1024;  // page 1: manager = host 1
+    h.Write<std::int64_t>(a, 7);
+    sys.sync(0).SemInit(1, 0);
+    sys.SpawnThread(3, "reader", [&, a](Host& hh) {
+      EXPECT_EQ(hh.Read<std::int64_t>(a), 7);  // the copy to invalidate
+      sys.sync(3).V(1);
+    });
+    sys.sync(0).P(1);
+    sys.SpawnThread(2, "writer", [&, a](Host& hh) {
+      hh.Write<std::int64_t>(a, 42);
+      sys.sync(2).V(1);
+    });
+    h.runtime().Delay(Milliseconds(500));  // grant provably in flight
+    sys.CrashAndRestartHost(1, Seconds(2));
+    sys.sync(0).P(1);
+    seen = h.Read<std::int64_t>(a);
+    h.runtime().Delay(Seconds(5));  // confirm/probe drain before quiescence
+  });
+  eng.Run();
+  EXPECT_EQ(seen, 42);
+  auto& st = sys.GatherStats();
+  EXPECT_EQ(st.Count("dsm.crashes"), 1);
+  EXPECT_GE(st.Count("dsm.recovery_inflight_adopted"), 1);
+  EXPECT_GE(sys.host(1).stats().Count("dsm.confirm_probes"), 1);
+  EXPECT_EQ(st.Count("dsm.recovery_pages_lost"), 0);
+  ExpectQuiescent(sys);
+}
+
 // A semaphore holder crashes inside its critical section. The sync server
 // must break the dead incarnation's hold and hand the grant to the parked
 // live waiter instead of leaving the mutex wedged forever.

@@ -1,5 +1,7 @@
 #include <atomic>
+#include <cfenv>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -345,6 +347,107 @@ TEST(SimEngine, TransientChannelsDoNotAccumulate) {
   });
   eng.Run();
   EXPECT_EQ(eng.live_chan_count(), 1u);
+}
+
+// Sums `n` tenths in the current rounding mode, switching out after each
+// add when `eng` is given. Volatile operands keep the adds at run time, in
+// program order around the switches.
+double SumTenths(int n, Engine* eng) {
+  volatile double tenth = 0.1;
+  volatile double sum = 0;
+  for (int i = 0; i < n; ++i) {
+    sum = sum + tenth;
+    if (eng != nullptr) eng->Delay(Microseconds(1));
+  }
+  return sum;
+}
+
+// Recurses `depth` frames of 1 KB of real stack each (alloca stays on the
+// fiber's own stack even when a sanitizer moves locals elsewhere), switching
+// out every 32 frames. Each frame checks its fill once the frames below it
+// return; the result counts the intact ones. `deepest` receives the lowest
+// fill address.
+[[gnu::noinline]] int DeepFrames(Engine& eng, int depth,
+                                 std::uintptr_t* deepest) {
+  constexpr std::size_t kFrameBytes = 1024;
+  auto* fill = static_cast<volatile unsigned char*>(
+      __builtin_alloca(kFrameBytes));
+  const auto mark = static_cast<unsigned char>(depth * 7);
+  for (std::size_t i = 0; i < kFrameBytes; ++i) fill[i] = mark;
+  *deepest = reinterpret_cast<std::uintptr_t>(fill);
+  if (depth % 32 == 0) eng.Delay(Microseconds(1));
+  const int below = depth > 1 ? DeepFrames(eng, depth - 1, deepest) : 0;
+  for (std::size_t i = 0; i < kFrameBytes; ++i) {
+    if (fill[i] != mark) return below;
+  }
+  return below + 1;
+}
+
+// A fiber switch must carry each fiber's FP control state and leave its
+// stack untouched. The fibers yield in lockstep, so a Delay hands over to
+// another ready fiber instead of fast-resuming.
+TEST(SimEngine, FiberSwitchPreservesFpEnvAndStack) {
+  constexpr int kAdds = 500;  // per fiber: 1,000 interleaved Delay switches
+  std::fesetround(FE_UPWARD);
+  const double up_ref = SumTenths(kAdds, nullptr);
+  std::fesetround(FE_DOWNWARD);
+  const double down_ref = SumTenths(kAdds, nullptr);
+  std::fesetround(FE_TONEAREST);
+  ASSERT_LT(down_ref, up_ref);
+
+  Engine eng;
+  double up_sum = 0;
+  double down_sum = 0;
+  bool up_mode_ok = false;
+  bool down_mode_ok = false;
+  eng.Spawn("up", [&] {
+    std::fesetround(FE_UPWARD);
+    up_sum = SumTenths(kAdds, &eng);
+    up_mode_ok = std::fegetround() == FE_UPWARD;
+  });
+  eng.Spawn("down", [&] {
+    std::fesetround(FE_DOWNWARD);
+    down_sum = SumTenths(kAdds, &eng);
+    down_mode_ok = std::fegetround() == FE_DOWNWARD;
+  });
+
+  // A fresh fiber's stack obeys the ABI's 16-byte alignment, which the
+  // vector code in printf relies on.
+  std::uintptr_t aligned_addr = 1;
+  char printed[32] = {};
+  eng.Spawn("fresh", [&] {
+    alignas(16) char local[32];
+    aligned_addr = reinterpret_cast<std::uintptr_t>(local);
+    volatile double x = 2.71828;
+    std::snprintf(local, sizeof(local), "%.3f", x);
+    std::snprintf(printed, sizeof(printed), "%s", local);
+  });
+
+  // One fiber uses ~384 KB of its 512 KB stack while the other yields at
+  // the same instants.
+  constexpr int kDepth = 384;
+  int intact = 0;
+  std::uintptr_t top = 0;
+  std::uintptr_t deepest = 0;
+  eng.Spawn("deep", [&] {
+    top = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+    intact = DeepFrames(eng, kDepth, &deepest);
+  });
+  eng.Spawn("yielder", [&] {
+    for (int i = 0; i < kDepth / 32; ++i) eng.Delay(Microseconds(1));
+  });
+  eng.Run();
+
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);  // the Run() thread's own mode
+  EXPECT_TRUE(up_mode_ok);
+  EXPECT_TRUE(down_mode_ok);
+  EXPECT_EQ(up_sum, up_ref);
+  EXPECT_EQ(down_sum, down_ref);
+  EXPECT_EQ(aligned_addr % 16, 0u);
+  EXPECT_STREQ(printed, "2.718");
+  EXPECT_EQ(intact, kDepth);
+  EXPECT_GE(top - deepest, kDepth * std::uintptr_t{1024} - 1024);
+  EXPECT_GT(eng.switch_count() - eng.fast_resume_count(), 2u * kAdds);
 }
 
 TEST(RealTimeRuntime, ChannelAndDelayWork) {
