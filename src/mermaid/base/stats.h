@@ -9,9 +9,12 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <vector>
 
 namespace mermaid::base {
 
@@ -71,27 +74,63 @@ class Histogram {
   double max_ = 0;
 };
 
+// A process-wide interned stat name. Constructing one takes a lock and a
+// hash lookup; after that a registry finds the key's slot by index. Hot
+// paths resolve each name once (a namespace-scope constant, or a table
+// filled on first use) and bump through the key:
+//
+//   const base::StatKey kPacketsSent("net.packets_sent");
+//   ...
+//   stats_.Inc(kPacketsSent);
+//
+// Keys are never freed, so build them from a bounded set of names. Ids
+// are assigned in first-use order and never appear in any output: every
+// registry view is sorted by name.
+class StatKey {
+ public:
+  explicit StatKey(std::string_view name);
+
+  // The key of `name` if some code has interned it; never interns.
+  static std::optional<StatKey> Find(std::string_view name);
+
+  std::uint32_t id() const { return id_; }
+
+ private:
+  explicit StatKey(std::uint32_t id) : id_(id) {}
+
+  std::uint32_t id_;
+};
+
 // Named counters and distributions. Mutations are internally locked so
 // concurrent processes under the real-time runtime can share a registry;
-// under the virtual-time engine the lock is never contended.
+// under the virtual-time engine the lock is never contended. Slots live
+// in vectors indexed by StatKey id; the string overloads intern the name
+// first and are meant for tests and cold paths.
 class StatsRegistry {
  public:
   StatsRegistry() = default;
   StatsRegistry(const StatsRegistry&) = delete;
   StatsRegistry& operator=(const StatsRegistry&) = delete;
 
-  void Inc(const std::string& name, std::int64_t delta = 1);
-  void Sample(const std::string& name, double value);
-  void Hist(const std::string& name, double value);
+  void Inc(StatKey key, std::int64_t delta = 1);
+  void Sample(StatKey key, double value);
+  void Hist(StatKey key, double value);
+  void Inc(std::string_view name, std::int64_t delta = 1) {
+    Inc(StatKey(name), delta);
+  }
+  void Sample(std::string_view name, double value) {
+    Sample(StatKey(name), value);
+  }
+  void Hist(std::string_view name, double value) { Hist(StatKey(name), value); }
 
-  std::int64_t Count(const std::string& name) const;
+  std::int64_t Count(std::string_view name) const;
   // Returns a snapshot (the live distribution can change concurrently).
-  Distribution DistCopy(const std::string& name) const;
-  Histogram HistCopy(const std::string& name) const;
+  Distribution DistCopy(std::string_view name) const;
+  Histogram HistCopy(std::string_view name) const;
 
-  // Snapshots of the full maps, for reporting. Always name-sorted (the
-  // internal storage is hashed for hot-path speed; sorting happens only
-  // here), so report text and merge order are independent of hash layout.
+  // Snapshots of every name touched in this registry, for reporting.
+  // Always name-sorted, so report text and merge order are independent of
+  // key ids.
   std::map<std::string, std::int64_t> Counters() const;
   std::map<std::string, Distribution> Dists() const;
   std::map<std::string, Histogram> Hists() const;
@@ -105,7 +144,7 @@ class StatsRegistry {
   // Non-destructive epoch: snapshots current counter totals as a baseline
   // so CountSinceEpoch reports run-local deltas without losing history.
   void BeginEpoch();
-  std::int64_t CountSinceEpoch(const std::string& name) const;
+  std::int64_t CountSinceEpoch(std::string_view name) const;
   std::map<std::string, std::int64_t> CountersSinceEpoch() const;
 
   // Adds every counter, sample, and histogram of `other` into this one.
@@ -114,14 +153,22 @@ class StatsRegistry {
   std::string ToString() const;
 
  private:
+  struct Counter {
+    std::int64_t value = 0;
+    bool live = false;  // touched since the last Clear (Inc by 0 counts)
+  };
+  struct Slots {
+    std::vector<Counter> counters;
+    std::vector<std::unique_ptr<Distribution>> dists;
+    std::vector<std::unique_ptr<Histogram>> hists;
+  };
+
   mutable std::mutex mu_;
   std::uint64_t epoch_ = 0;
-  // Hashed, not ordered: Inc/Sample/Hist are on the per-message hot path
-  // (several lookups per simulated packet). Every external view sorts.
-  std::unordered_map<std::string, std::int64_t> counters_;
-  std::unordered_map<std::string, std::int64_t> epoch_base_;
-  std::unordered_map<std::string, Distribution> dists_;
-  std::unordered_map<std::string, Histogram> hists_;
+  // All indexed by StatKey id; grown on first touch of a key.
+  Slots slots_;
+  // Counter totals at BeginEpoch; nullopt for names not live then.
+  std::vector<std::optional<std::int64_t>> epoch_base_;
 };
 
 }  // namespace mermaid::base

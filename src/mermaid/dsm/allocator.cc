@@ -14,6 +14,7 @@ Allocator::Allocator(const arch::TypeRegistry* registry,
   MERMAID_CHECK(registry != nullptr);
   MERMAID_CHECK(page_bytes > 0 && (page_bytes & (page_bytes - 1)) == 0);
   MERMAID_CHECK(region_bytes % page_bytes == 0);
+  pages_.resize(region_bytes / page_bytes);
 }
 
 std::optional<Allocator::Result> Allocator::Alloc(arch::TypeId type,
@@ -70,6 +71,7 @@ std::optional<Allocator::Result> Allocator::Alloc(arch::TypeId type,
       static_cast<PageNum>((result.addr + bytes - 1) / page_bytes_);
   for (PageNum p = first; p <= last; ++p) {
     PageInfo& info = pages_[p];
+    info.typed = true;
     info.type = type;
     const std::uint64_t page_start =
         static_cast<std::uint64_t>(p) * page_bytes_;
@@ -85,13 +87,11 @@ std::optional<Allocator::Result> Allocator::Alloc(arch::TypeId type,
 }
 
 arch::TypeId Allocator::TypeOfPage(PageNum p) const {
-  auto it = pages_.find(p);
-  return it == pages_.end() ? arch::TypeRegistry::kChar : it->second.type;
+  return p < pages_.size() ? pages_[p].type : arch::TypeRegistry::kChar;
 }
 
 std::uint32_t Allocator::AllocBytesOfPage(PageNum p) const {
-  auto it = pages_.find(p);
-  return it == pages_.end() ? 0 : it->second.alloc_bytes;
+  return p < pages_.size() ? pages_[p].alloc_bytes : 0;
 }
 
 }  // namespace mermaid::dsm

@@ -51,12 +51,16 @@ class Allocator {
   // modeled as durable (see DESIGN.md, "Failure model").
   template <typename Fn>
   void ForEachTypedPage(Fn&& fn) const {
-    for (const auto& [p, info] : pages_) fn(p, info.type, info.alloc_bytes);
+    for (PageNum p = 0; p < pages_.size(); ++p) {
+      const PageInfo& info = pages_[p];
+      if (info.typed) fn(p, info.type, info.alloc_bytes);
+    }
   }
 
  private:
   struct PageInfo {
-    arch::TypeId type = 0;
+    bool typed = false;  // some allocation covered the page
+    arch::TypeId type = arch::TypeRegistry::kChar;
     std::uint32_t alloc_bytes = 0;
   };
 
@@ -71,7 +75,7 @@ class Allocator {
   std::uint32_t page_bytes_;
   PageNum next_free_page_ = 0;
   std::map<arch::TypeId, TypeRun> open_runs_;
-  std::map<PageNum, PageInfo> pages_;
+  std::vector<PageInfo> pages_;  // indexed by page
 };
 
 }  // namespace mermaid::dsm

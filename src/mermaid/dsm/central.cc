@@ -5,6 +5,15 @@
 
 namespace mermaid::dsm {
 
+namespace {
+
+// Per-request stat keys, resolved once (see base::StatKey).
+const base::StatKey kMalformed("central.malformed");
+const base::StatKey kReads("central.reads");
+const base::StatKey kWrites("central.writes");
+
+}  // namespace
+
 CentralServer::CentralServer(sim::Runtime& rt,
                              const arch::ArchProfile* profile,
                              std::uint64_t region_bytes)
@@ -38,14 +47,14 @@ void CentralServer::HandleRead(net::RequestContext ctx) {
   const GlobalAddr addr = r.U64();
   const std::uint32_t size = r.U32();
   if (!r.ok() || addr + size > mem_.size()) {
-    stats_.Inc("central.malformed");
+    stats_.Inc(kMalformed);
     return;
   }
   // Half the request-processing cost on each side of the operation.
   rt_.Delay(profile_->server_op_cost / 2);
   std::vector<std::uint8_t> out(size);
   ReadBytes(addr, out);
-  stats_.Inc("central.reads");
+  stats_.Inc(kReads);
   ctx.Reply(std::move(out));
 }
 
@@ -54,12 +63,12 @@ void CentralServer::HandleWrite(net::RequestContext ctx) {
   const GlobalAddr addr = r.U64();
   auto data = r.Rest();
   if (!r.ok() || addr + data.size() > mem_.size()) {
-    stats_.Inc("central.malformed");
+    stats_.Inc(kMalformed);
     return;
   }
   rt_.Delay(profile_->server_op_cost / 2);
   WriteBytes(addr, std::span<const std::uint8_t>(data.data(), data.size()));
-  stats_.Inc("central.writes");
+  stats_.Inc(kWrites);
   ctx.Reply({});
 }
 

@@ -56,45 +56,65 @@ Placement::Placement(const SystemConfig& cfg, std::uint16_t num_hosts,
   for (net::HostId h : manager_) ++first_[h + 1];
   for (std::size_t h = 1; h < first_.size(); ++h) first_[h] += first_[h - 1];
   pages_.resize(num_pages);
+  rank_.resize(num_pages);
   std::vector<std::size_t> next(first_.begin(), first_.end() - 1);
-  for (PageNum p = 0; p < num_pages; ++p) pages_[next[manager_[p]]++] = p;
+  for (PageNum p = 0; p < num_pages; ++p) {
+    const net::HostId h = manager_[p];
+    rank_[p] = static_cast<std::uint32_t>(next[h] - first_[h]);
+    pages_[next[h]++] = p;
+  }
 }
 
 Directory::Directory(const SystemConfig& cfg, net::HostId self,
                      const Placement& placement)
-    : mode_(cfg.directory_mode), self_(self), placement_(placement) {
+    : mode_(cfg.directory_mode),
+      self_(self),
+      placement_(placement),
+      base_(placement.PagesOf(self).size()) {
   // Initially the base manager owns every page it manages, holding the
   // zero-filled read copy (the matching LocalPageEntry seeding lives in the
   // Host constructor).
-  for (PageNum p : placement_.PagesOf(self_)) {
-    ManagerEntry& m = entries_.try_emplace(entries_.end(), p)->second;
+  for (auto& slot : base_) {
+    ManagerEntry& m = slot.emplace();
     m.owner = self_;
     m.copyset.insert(self_);
   }
 }
 
-ManagerEntry& Directory::Manager(PageNum p) {
-  auto it = entries_.find(p);
-  MERMAID_CHECK(it != entries_.end());
-  return it->second;
+const ManagerEntry* Directory::FindEntry(PageNum p) const {
+  if (p >= placement_.num_pages()) return nullptr;
+  if (BaseManagedHere(p)) {
+    const auto& slot = base_[placement_.RankOf(p)];
+    return slot.has_value() ? &*slot : nullptr;
+  }
+  auto it = adopted_.find(p);
+  return it == adopted_.end() ? nullptr : &it->second;
 }
 
-ManagerEntry* Directory::FindManager(PageNum p) {
-  auto it = entries_.find(p);
-  return it == entries_.end() ? nullptr : &it->second;
+ManagerEntry& Directory::Manager(PageNum p) {
+  ManagerEntry* m = FindManager(p);
+  MERMAID_CHECK(m != nullptr);
+  return *m;
 }
 
 ManagerEntry& Directory::AdoptManager(PageNum p) {
-  MERMAID_CHECK(entries_.count(p) == 0);
-  return entries_[p];
+  MERMAID_CHECK(p < placement_.num_pages() && !ManagedHere(p));
+  if (BaseManagedHere(p)) return base_[placement_.RankOf(p)].emplace();
+  return adopted_[p];
 }
 
-void Directory::EraseManager(PageNum p) { entries_.erase(p); }
+void Directory::EraseManager(PageNum p) {
+  if (p >= placement_.num_pages()) return;
+  if (BaseManagedHere(p)) {
+    base_[placement_.RankOf(p)].reset();
+  } else {
+    adopted_.erase(p);
+  }
+}
 
 std::vector<PageNum> Directory::ManagedPages() const {
   std::vector<PageNum> out;
-  out.reserve(entries_.size());
-  for (const auto& [p, m] : entries_) out.push_back(p);
+  ForEachManaged([&](PageNum p, const ManagerEntry&) { out.push_back(p); });
   return out;
 }
 
@@ -139,10 +159,8 @@ void Directory::SetForward(PageNum p, net::HostId to, std::uint32_t inc) {
 void Directory::ClearForward(PageNum p) { forwards_.erase(p); }
 
 void Directory::WipeForCrash() {
-  entries_.clear();
-  for (PageNum p : placement_.PagesOf(self_)) {
-    entries_.try_emplace(entries_.end(), p);  // default (unknown) entry
-  }
+  for (auto& slot : base_) slot.emplace();  // default (unknown) entry
+  adopted_.clear();
   forwards_.clear();
   learned_.clear();
 }

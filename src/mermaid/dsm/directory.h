@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -55,6 +56,11 @@ class Placement {
     return std::span<const PageNum>(pages_).subspan(
         first_[h], first_[h + 1] - first_[h]);
   }
+  // p's index in PagesOf(BaseManagerOf(p)).
+  std::uint32_t RankOf(PageNum p) const {
+    MERMAID_CHECK(p < rank_.size());
+    return rank_[p];
+  }
 
   std::uint16_t num_hosts() const {
     return static_cast<std::uint16_t>(first_.size() - 1);
@@ -67,6 +73,7 @@ class Placement {
   // pages_[first_[h], first_[h + 1]).
   std::vector<PageNum> pages_;
   std::vector<std::size_t> first_;
+  std::vector<std::uint32_t> rank_;  // indexed by page
 };
 
 class Directory {
@@ -87,16 +94,23 @@ class Directory {
   // --- this host's manager entries ----------------------------------------
   // Under kFixed/kSharded an entry exists iff BaseManagedHere(p); under
   // kDynamic entries follow migration.
-  bool ManagedHere(PageNum p) const { return entries_.count(p) != 0; }
+  bool ManagedHere(PageNum p) const { return FindEntry(p) != nullptr; }
   ManagerEntry& Manager(PageNum p);       // CHECKs ManagedHere(p)
-  ManagerEntry* FindManager(PageNum p);   // nullptr when not managed here
+  ManagerEntry* FindManager(PageNum p) {  // nullptr when not managed here
+    return const_cast<ManagerEntry*>(FindEntry(p));
+  }
   ManagerEntry& AdoptManager(PageNum p);  // create (migration target)
   void EraseManager(PageNum p);           // drop (migration source)
 
-  // Ascending page order.
+  // Ascending page order: the base entries merged with the adopted ones.
+  // `fn` must not adopt or erase entries.
   template <typename Fn>
   void ForEachManaged(Fn&& fn) {
-    for (auto& [p, m] : entries_) fn(p, m);
+    ForEachEntry(*this, fn);
+  }
+  template <typename Fn>
+  void ForEachManaged(Fn&& fn) const {
+    ForEachEntry(*this, fn);
   }
   std::vector<PageNum> ManagedPages() const;
 
@@ -134,10 +148,32 @@ class Directory {
   }
 
  private:
+  const ManagerEntry* FindEntry(PageNum p) const;
+  // ForEachManaged for a const or mutable Directory.
+  template <typename Self, typename Fn>
+  static void ForEachEntry(Self& self, Fn& fn) {
+    const std::span<const PageNum> base = self.placement_.PagesOf(self.self_);
+    auto adopted = self.adopted_.begin();
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      for (; adopted != self.adopted_.end() && adopted->first < base[i];
+           ++adopted) {
+        fn(adopted->first, adopted->second);
+      }
+      if (self.base_[i].has_value()) fn(base[i], *self.base_[i]);
+    }
+    for (; adopted != self.adopted_.end(); ++adopted) {
+      fn(adopted->first, adopted->second);
+    }
+  }
+
   SystemConfig::DirectoryMode mode_;
   net::HostId self_;
   const Placement& placement_;
-  std::map<PageNum, ManagerEntry> entries_;
+  // Entries of this host's base pages, indexed by RankOf(p); empty while
+  // the page's management has migrated away (kDynamic).
+  std::vector<std::optional<ManagerEntry>> base_;
+  // Entries of other hosts' pages this host adopted (kDynamic).
+  std::map<PageNum, ManagerEntry> adopted_;
   std::map<PageNum, Forward> forwards_;
   std::map<PageNum, std::pair<net::HostId, std::uint32_t>> learned_;
 };

@@ -23,6 +23,61 @@ void ConvertSlots(const arch::TypeRegistry& reg, arch::TypeId type,
   reg.ConvertStrided(type, data.first(extent), extent / stride, stride, ctx);
 }
 
+// Stat keys of the fault, manager, owner-serve and conversion paths,
+// resolved once (see base::StatKey). Recovery, release-consistency and
+// migration code bumps its rarer counters by name.
+const base::StatKey kBytesIn("dsm.bytes_in");
+const base::StatKey kBytesOut("dsm.bytes_out");
+const base::StatKey kConfirmProbes("dsm.confirm_probes");
+const base::StatKey kConversions("dsm.conversions");
+const base::StatKey kConvertCacheEvictions("dsm.convert_cache_evictions");
+const base::StatKey kConvertCacheHits("dsm.convert_cache_hits");
+const base::StatKey kConvertCacheMisses("dsm.convert_cache_misses");
+const base::StatKey kConvertLossy("dsm.convert_lossy");
+const base::StatKey kConvertMs("dsm.convert_ms");
+const base::StatKey kConvertTimeMs("dsm.convert_time_ms");
+const base::StatKey kConvertedElements("dsm.converted_elements");
+const base::StatKey kDeadEpochGrants("dsm.dead_epoch_grants");
+const base::StatKey kFaultDelayMs("dsm.fault_delay_ms");
+const base::StatKey kFaultHandlingRMs("dsm.fault_handling_r_ms");
+const base::StatKey kFaultHandlingWMs("dsm.fault_handling_w_ms");
+const base::StatKey kFaultHops("dsm.fault_hops");
+const base::StatKey kFaultRetries("dsm.fault_retries");
+const base::StatKey kFaultServiceMs("dsm.fault_service_ms");
+const base::StatKey kFencedReplies("dsm.fenced_replies");
+const base::StatKey kFencedTransfers("dsm.fenced_transfers");
+const base::StatKey kGrantExtends("dsm.grant_extends");
+const base::StatKey kGrantLeaseExpired("dsm.grant_lease_expired");
+const base::StatKey kGrantRejects("dsm.grant_rejects");
+const base::StatKey kGrantsDisowned("dsm.grants_disowned");
+const base::StatKey kGrantsRevoked("dsm.grants_revoked");
+const base::StatKey kInvalidateFanout("dsm.invalidate_fanout");
+const base::StatKey kInvalidationRetries("dsm.invalidation_retries");
+const base::StatKey kInvalidationsReceived("dsm.invalidations_received");
+const base::StatKey kInvalidationsSent("dsm.invalidations_sent");
+const base::StatKey kMalformed("dsm.malformed");
+const base::StatKey kManagerCallTimeouts("dsm.manager_call_timeouts");
+const base::StatKey kMgrForwards("dsm.mgr_forwards");
+const base::StatKey kMgrLearnedClearedReincarnation(
+    "dsm.mgr_learned_cleared_reincarnation");
+const base::StatKey kMgrRedirects("dsm.mgr_redirects");
+const base::StatKey kMgrRedirectsSent("dsm.mgr_redirects_sent");
+const base::StatKey kOwnerFetchTimeouts("dsm.owner_fetch_timeouts");
+const base::StatKey kOwnerLostDetected("dsm.owner_lost_detected");
+const base::StatKey kOwnerLostObserved("dsm.owner_lost_observed");
+const base::StatKey kPagesIn("dsm.pages_in");
+const base::StatKey kPagesServed("dsm.pages_served");
+const base::StatKey kReadFaults("dsm.read_faults");
+const base::StatKey kRecoveryDroppedReqs("dsm.recovery_dropped_reqs");
+const base::StatKey kSameTypeSource("dsm.same_type_source");
+const base::StatKey kStaleConfirms("dsm.stale_confirms");
+const base::StatKey kStaleDatalessGrants("dsm.stale_dataless_grants");
+const base::StatKey kUpgrades("dsm.upgrades");
+const base::StatKey kVmFaultHops("dsm.vm_fault_hops");
+const base::StatKey kVmFaultRtts("dsm.vm_fault_rtts");
+const base::StatKey kVmFaults("dsm.vm_faults");
+const base::StatKey kWriteFaults("dsm.write_faults");
+
 // Capped exponential backoff between whole fault-path retry rounds (the
 // per-Call retransmits already jitter, so rounds need no extra randomness).
 SimDuration FaultBackoff(const SystemConfig& cfg, int round) {
@@ -79,7 +134,7 @@ void Host::Start() {
     } else if (role == kToManager) {
       HandleTransferReq(std::move(ctx), is_write);
     } else {
-      stats_.Inc("dsm.malformed");
+      stats_.Inc(kMalformed);
     }
   };
   endpoint_.SetHandler(kOpReadReq, [transfer](net::RequestContext ctx) {
@@ -136,7 +191,7 @@ void Host::Start() {
         for (PageNum p : stale) QueueReclaimLocked(p);
       }
       if (forgot > 0) {
-        stats_.Inc("dsm.mgr_learned_cleared_reincarnation",
+        stats_.Inc(kMgrLearnedClearedReincarnation,
                    static_cast<std::int64_t>(forgot));
       }
     });
@@ -193,14 +248,14 @@ void Host::Start() {
             }
           }
           for (const auto& [page, op_id] : expired) {
-            stats_.Inc("dsm.grant_lease_expired");
+            stats_.Inc(kGrantLeaseExpired);
             ManagerRevoke(page, op_id);
           }
           for (const Probe& pr : probes) {
             base::WireWriter w;
             w.U32(pr.page);
             w.U64(pr.op_id);
-            stats_.Inc("dsm.confirm_probes");
+            stats_.Inc(kConfirmProbes);
             endpoint_.Notify(pr.requester, kOpConfirmProbe,
                              std::move(w).Take());
           }
@@ -293,13 +348,13 @@ void Host::EnsureAccess(PageNum p, Access needed) {
 
 void Host::FaultGroup(PageNum p, Access needed) {
   const SimTime start = rt_.Now();
-  stats_.Inc("dsm.vm_faults");
+  stats_.Inc(kVmFaults);
   // The user-level fault handler invocation + page table processing
   // (Table 1; the request send cost is modeled by the network).
   rt_.Delay(needed == Access::kWrite ? profile_->fault_cost_write
                                      : profile_->fault_cost_read);
-  stats_.Sample(needed == Access::kWrite ? "dsm.fault_handling_w_ms"
-                                         : "dsm.fault_handling_r_ms",
+  stats_.Sample(needed == Access::kWrite ? kFaultHandlingWMs
+                                         : kFaultHandlingRMs,
                 ToMillis(rt_.Now() - start));
 
   // A host whose VM page spans several DSM pages must fill the whole VM
@@ -333,10 +388,10 @@ void Host::FaultGroup(PageNum p, Access needed) {
       FaultOne(q, needed, telem);
     }
   }
-  stats_.Sample("dsm.fault_delay_ms", ToMillis(rt_.Now() - start));
-  stats_.Hist("dsm.fault_service_ms", ToMillis(rt_.Now() - start));
-  stats_.Hist("dsm.vm_fault_hops", static_cast<double>(telem.hops));
-  stats_.Hist("dsm.vm_fault_rtts", static_cast<double>(telem.rtts));
+  stats_.Sample(kFaultDelayMs, ToMillis(rt_.Now() - start));
+  stats_.Hist(kFaultServiceMs, ToMillis(rt_.Now() - start));
+  stats_.Hist(kVmFaultHops, static_cast<double>(telem.hops));
+  stats_.Hist(kVmFaultRtts, static_cast<double>(telem.rtts));
 }
 
 void Host::FaultOne(PageNum p, Access needed, FaultTelemetry& telem) {
@@ -366,7 +421,7 @@ void Host::FaultOne(PageNum p, Access needed, FaultTelemetry& telem) {
     }
 
     const bool is_write = needed == Access::kWrite;
-    stats_.Inc(is_write ? "dsm.write_faults" : "dsm.read_faults");
+    stats_.Inc(is_write ? kWriteFaults : kReadFaults);
     const std::uint64_t fault_ev =
         TraceEv(trace::EventKind::kFaultStart, p, 0, 0, is_write ? 1 : 0);
     TraceBind(trace::FaultKey(self_, p), fault_ev);
@@ -405,7 +460,7 @@ void Host::FaultOne(PageNum p, Access needed, FaultTelemetry& telem) {
           MERMAID_CHECK_MSG(
               false, "DSM fault path exhausted retries; page unreachable");
         }
-        stats_.Inc("dsm.fault_retries");
+        stats_.Inc(kFaultRetries);
         rt_.Delay(FaultBackoff(cfg_, retries));
         break;
       case FaultOutcome::kDone:
@@ -468,7 +523,7 @@ Host::FaultOutcome Host::FaultViaLocalManager(PageNum p, bool is_write,
     }
   }
   if (ghost_owner) {
-    stats_.Inc("dsm.owner_lost_detected");
+    stats_.Inc(kOwnerLostDetected);
     HandlePageLostLocal(p, 0, self_, /*drain=*/false);
     return FaultOutcome::kRetry;
   }
@@ -518,13 +573,13 @@ Host::FaultOutcome Host::FaultViaLocalManager(PageNum p, bool is_write,
       return FaultOutcome::kShutdown;
     }
     if (resp.status == net::CallStatus::kTimedOut) {
-      stats_.Inc("dsm.owner_fetch_timeouts");
+      stats_.Inc(kOwnerFetchTimeouts);
       if (cfg_.crash_recovery && net_.HostDown(grant.owner, rt_.Now())) {
         // The owner did not merely time out, it died — and its copy with it
         // (crash-with-amnesia). Heal the entry now: promote a surviving
         // copy or apply the lost-page policy. This also clears the busy
         // grant, so no separate revoke.
-        stats_.Inc("dsm.owner_lost_detected");
+        stats_.Inc(kOwnerLostDetected);
         HandlePageLostLocal(p, grant.op_id, grant.owner);
         return FaultOutcome::kRetry;
       }
@@ -547,7 +602,7 @@ Host::FaultOutcome Host::FaultViaLocalManager(PageNum p, bool is_write,
   // Hop count: an upgrade/self-serve is message-free; a remote-owner fetch
   // is request + reply (the R -> O pattern; the manager leg was local).
   const std::int64_t hops = grant.owner == self_ ? 0 : 2;
-  stats_.Hist("dsm.fault_hops", static_cast<double>(hops));
+  stats_.Hist(kFaultHops, static_cast<double>(hops));
   telem.hops += hops;
 
   switch (CompleteTransfer(p, is_write, reply, life)) {
@@ -597,7 +652,7 @@ Host::FaultOutcome Host::FaultViaRemoteManager(PageNum p, bool is_write,
     // The manager (or the owner it forwarded to) is unreachable. Our reply
     // channel is closed now, so a replayed grant can never be consumed; if
     // one was issued, the manager's probe/lease machinery reclaims it.
-    stats_.Inc("dsm.manager_call_timeouts");
+    stats_.Inc(kManagerCallTimeouts);
     if (dir_.dynamic()) {
       // A learned (migrated) location that stopped answering may have died;
       // fall back to the base manager next round.
@@ -611,7 +666,7 @@ Host::FaultOutcome Host::FaultViaRemoteManager(PageNum p, bool is_write,
   if (reply.mgr_redirect) {
     // The addressed host no longer manages the page (stale location or an
     // exhausted forwarding chain); re-route to its suggestion.
-    stats_.Inc("dsm.mgr_redirects");
+    stats_.Inc(kMgrRedirects);
     std::lock_guard<std::mutex> lk(state_mu_);
     dir_.ForgetManager(p);
     if (reply.owner != mgr && reply.owner < num_hosts_) {
@@ -627,7 +682,7 @@ Host::FaultOutcome Host::FaultViaRemoteManager(PageNum p, bool is_write,
     // The manager forwarded us to an owner that has since restarted with
     // amnesia. Report the loss so the manager repairs its entry (promotes a
     // surviving copy or applies the lost-page policy), then refault.
-    stats_.Inc("dsm.owner_lost_observed");
+    stats_.Inc(kOwnerLostObserved);
     base::WireWriter lw;
     lw.U32(p);
     lw.U64(reply.op_id);
@@ -641,7 +696,7 @@ Host::FaultOutcome Host::FaultViaRemoteManager(PageNum p, bool is_write,
     if (fenced_.count({p, reply.op_id}) > 0) {
       // We disowned this grant when a confirm-probe caught us without it;
       // the manager revoked it, so this late reply must not be installed.
-      stats_.Inc("dsm.fenced_replies");
+      stats_.Inc(kFencedReplies);
       return FaultOutcome::kRetry;
     }
     if (cfg_.crash_recovery && life != life_) {
@@ -650,7 +705,7 @@ Host::FaultOutcome Host::FaultViaRemoteManager(PageNum p, bool is_write,
       // incarnation that answers confirm-probes "still working" forever and
       // gets adopted as busy by manager rebuilds. Leave the grant to the
       // manager's probe/lease reclaim.
-      stats_.Inc("dsm.fenced_replies");
+      stats_.Inc(kFencedReplies);
       return FaultOutcome::kRetry;
     }
     if (cfg_.crash_recovery &&
@@ -659,7 +714,7 @@ Host::FaultOutcome Host::FaultViaRemoteManager(PageNum p, bool is_write,
       // rebuilt map knows nothing of the op, so installing would create a
       // holder invisible to the reconstruction. Refault against the rebuilt
       // manager instead.
-      stats_.Inc("dsm.dead_epoch_grants");
+      stats_.Inc(kDeadEpochGrants);
       return FaultOutcome::kRetry;
     }
     inflight_ops_[{p, reply.op_id}] = InflightOp{is_write, reply.new_version};
@@ -669,7 +724,7 @@ Host::FaultOutcome Host::FaultViaRemoteManager(PageNum p, bool is_write,
   // reply; a forward to the owner adds the third leg (R -> M -> O -> R).
   const std::int64_t hops =
       (reply.owner == mgr || reply.owner == self_) ? 2 : 3;
-  stats_.Hist("dsm.fault_hops", static_cast<double>(hops));
+  stats_.Hist(kFaultHops, static_cast<double>(hops));
   telem.hops += hops;
   switch (CompleteTransfer(p, is_write, reply, life)) {
     case TransferResult::kShutdown: {
@@ -716,7 +771,7 @@ Host::TransferResult Host::CompleteTransfer(PageNum p, bool is_write,
   // crash can interpose, and a zombie install after the wipe would put
   // state on this host that the fresh incarnation cannot account for.
   const auto fenced = [&] {
-    stats_.Inc("dsm.fenced_transfers");
+    stats_.Inc(kFencedTransfers);
     return TransferResult::kFenced;
   };
   const GlobalAddr page_base = static_cast<GlobalAddr>(p) * page_bytes_;
@@ -763,8 +818,8 @@ Host::TransferResult Host::CompleteTransfer(PageNum p, bool is_write,
         referee_->OnInstall(self_, p, reply.data_version, Access::kRead);
       }
     }
-    stats_.Inc("dsm.pages_in");
-    stats_.Inc("dsm.bytes_in", static_cast<std::int64_t>(data_size));
+    stats_.Inc(kPagesIn);
+    stats_.Inc(kBytesIn, static_cast<std::int64_t>(data_size));
   } else if (!is_write) {
     // A read grant without data means we hold a valid copy — possibly one we
     // relinquished in a transfer the manager has since revoked (the retained
@@ -789,7 +844,7 @@ Host::TransferResult Host::CompleteTransfer(PageNum p, bool is_write,
                         "read grant without data to a host without a copy");
       FenceOpLocked(p, reply.op_id);
       inflight_ops_.erase({p, reply.op_id});
-      stats_.Inc("dsm.stale_dataless_grants");
+      stats_.Inc(kStaleDatalessGrants);
       return TransferResult::kRejected;
     }
   } else {
@@ -816,10 +871,10 @@ Host::TransferResult Host::CompleteTransfer(PageNum p, bool is_write,
                         "write upgrade granted to a host without a copy");
       FenceOpLocked(p, reply.op_id);
       inflight_ops_.erase({p, reply.op_id});
-      stats_.Inc("dsm.stale_dataless_grants");
+      stats_.Inc(kStaleDatalessGrants);
       return TransferResult::kRejected;
     }
-    stats_.Inc("dsm.upgrades");
+    stats_.Inc(kUpgrades);
   }
   rt_.Delay(profile_->page_install_cost);
   const std::uint64_t install_ev =
@@ -847,7 +902,7 @@ bool Host::FinalizeWrite(PageNum p, const FetchReply& reply,
                          std::uint32_t life) {
   std::lock_guard<std::mutex> lk(state_mu_);
   if (life != life_ || fenced_.count({p, reply.op_id}) != 0) {
-    stats_.Inc("dsm.fenced_transfers");
+    stats_.Inc(kFencedTransfers);
     return false;
   }
   LocalPageEntry& e = ptable_.Local(p);
@@ -874,8 +929,7 @@ bool Host::InvalidateCopies(PageNum p,
     if (h != self_) targets.push_back(h);
   }
   if (targets.empty()) return true;
-  stats_.Hist("dsm.invalidate_fanout",
-              static_cast<double>(targets.size()));
+  stats_.Hist(kInvalidateFanout, static_cast<double>(targets.size()));
   base::WireWriter w;
   w.U32(p);
   const auto body = std::move(w).Take();
@@ -893,11 +947,10 @@ bool Host::InvalidateCopies(PageNum p,
     MERMAID_CHECK_MSG(round <= cfg_.fault_retry_limit,
                       "invalidation multicast exhausted retries");
     if (round > 0) {
-      stats_.Inc("dsm.invalidation_retries");
+      stats_.Inc(kInvalidationRetries);
       rt_.Delay(FaultBackoff(cfg_, round));
     }
-    stats_.Inc("dsm.invalidations_sent",
-               static_cast<std::int64_t>(targets.size()));
+    stats_.Inc(kInvalidationsSent, static_cast<std::int64_t>(targets.size()));
     const std::uint64_t inv_ev =
         TraceEv(trace::EventKind::kInvalidateSend, p, op_id, parent_ev,
                 static_cast<std::int64_t>(targets.size()), round);
@@ -937,7 +990,7 @@ ManagerGrant Host::BuildGrantLocked(PageNum p, net::HostId requester,
     for (net::HostId h : m.copyset) {
       if (net_.ProfileOf(h).SameRepresentation(net_.ProfileOf(requester))) {
         g.owner = h;  // data source only; m.owner keeps ownership
-        stats_.Inc("dsm.same_type_source");
+        stats_.Inc(kSameTypeSource);
         break;
       }
     }
@@ -1002,7 +1055,7 @@ void Host::ManagerIssue(PageNum p, PendingTransfer t) {
       // the requester would chase a corpse until its retry budget ran out.
       // op_id 0 = no grant to unbusy; drain=false because the transfer
       // being issued here is already in hand.
-      stats_.Inc("dsm.owner_lost_detected");
+      stats_.Inc(kOwnerLostDetected);
       HandlePageLostLocal(p, 0, owner, /*drain=*/false);
     }
   }
@@ -1077,7 +1130,7 @@ void Host::ManagerCommit(PageNum p, std::uint64_t op_id,
     std::lock_guard<std::mutex> lk(state_mu_);
     ManagerEntry* mp = dir_.FindManager(p);
     if (mp == nullptr || !mp->busy || mp->busy_op_id != op_id) {
-      stats_.Inc("dsm.stale_confirms");
+      stats_.Inc(kStaleConfirms);
       return;  // duplicate confirm of an already-committed transfer
     }
     ManagerEntry& m = *mp;
@@ -1157,7 +1210,7 @@ void Host::ManagerRevoke(PageNum p, std::uint64_t op_id) {
       return;  // committed, re-granted, or migrated away
     }
     m->busy = false;  // owner/copyset/version deliberately unchanged
-    stats_.Inc("dsm.grants_revoked");
+    stats_.Inc(kGrantsRevoked);
   }
   TraceEv(trace::EventKind::kManagerRevoke, p, op_id,
           TraceParent(trace::OpKey(p, op_id)));
@@ -1269,7 +1322,7 @@ net::Body Host::EncodeServeReply(
       r.data_rep = req_rep;
       r.sender_converted = true;
       r.from_cache = true;
-      stats_.Inc("dsm.convert_cache_hits");
+      stats_.Inc(kConvertCacheHits);
     } else {
       // Copy #1 of the data path: owner memory -> wire buffer.
       std::vector<std::uint8_t> img(mem_.begin() + page_base,
@@ -1283,11 +1336,11 @@ net::Body Host::EncodeServeReply(
         cctx.stats = &cstats;
         ConvertSlots(registry_, type, img, extent, cctx);
         if (cstats.total_lossy() > 0) {
-          stats_.Inc("dsm.convert_lossy", cstats.total_lossy());
+          stats_.Inc(kConvertLossy, cstats.total_lossy());
         }
         r.data_rep = req_rep;
         r.sender_converted = true;
-        stats_.Inc("dsm.convert_cache_misses");
+        stats_.Inc(kConvertCacheMisses);
       }
       image = base::Buffer(std::move(img));
       if (want_convert && !is_write) {
@@ -1299,7 +1352,7 @@ net::Body Host::EncodeServeReply(
           while (convert_cache_order_.size() > cfg_.convert_cache_capacity) {
             convert_cache_.erase(convert_cache_order_.front());
             convert_cache_order_.pop_front();
-            stats_.Inc("dsm.convert_cache_evictions");
+            stats_.Inc(kConvertCacheEvictions);
           }
         } else {
           convert_cache_[key] = image;  // refresh (extent grew)
@@ -1309,9 +1362,9 @@ net::Body Host::EncodeServeReply(
     r.data = base::BufferChain(image);
   }
 
-  stats_.Inc("dsm.pages_served");
+  stats_.Inc(kPagesServed);
   if (data_needed) {
-    stats_.Inc("dsm.bytes_out", static_cast<std::int64_t>(r.data.size()));
+    stats_.Inc(kBytesOut, static_cast<std::int64_t>(r.data.size()));
   }
   return EncodeFetchReply(r);
 }
@@ -1329,7 +1382,7 @@ void Host::HandleTransferReq(net::RequestContext ctx, bool is_write) {
   if (dir_.dynamic()) hops = r.U8();
   if (!r.ok() || p >= ptable_.num_pages() ||
       (!dir_.dynamic() && !dir_.BaseManagedHere(p))) {
-    stats_.Inc("dsm.malformed");
+    stats_.Inc(kMalformed);
     return;
   }
   rt_.Delay(profile_->server_op_cost);
@@ -1347,7 +1400,7 @@ void Host::HandleTransferReq(net::RequestContext ctx, bool is_write) {
       // Mid-reconstruction the manager map is untrustworthy. Drop the
       // request (no reply): the requester's call times out and retries,
       // landing after recovery finishes.
-      stats_.Inc("dsm.recovery_dropped_reqs");
+      stats_.Inc(kRecoveryDroppedReqs);
       return;
     }
     ManagerEntry* m = dir_.FindManager(p);
@@ -1398,7 +1451,7 @@ void Host::HandleTransferReq(net::RequestContext ctx, bool is_write) {
     return;
   }
   if (fwd_to != self_) {
-    stats_.Inc("dsm.mgr_forwards");
+    stats_.Inc(kMgrForwards);
     base::WireWriter w;
     w.U8(kToManager);
     w.U32(p);
@@ -1408,7 +1461,7 @@ void Host::HandleTransferReq(net::RequestContext ctx, bool is_write) {
     return;
   }
   MERMAID_CHECK(redirect_to != self_);
-  stats_.Inc("dsm.mgr_redirects_sent");
+  stats_.Inc(kMgrRedirectsSent);
   FetchReply rr;
   rr.mgr_redirect = true;
   rr.owner = redirect_to;  // suggestion, not an owner
@@ -1431,7 +1484,7 @@ void Host::HandleOwnerFetch(net::RequestContext ctx, bool is_write) {
   net::HostId mgr = 0;
   if (dir_.dynamic()) mgr = r.U16();  // granting manager, echoed back
   if (!r.ok() || p >= ptable_.num_pages()) {
-    stats_.Inc("dsm.malformed");
+    stats_.Inc(kMalformed);
     return;
   }
   rt_.Delay(profile_->server_op_cost);
@@ -1451,7 +1504,7 @@ void Host::HandleOwnerFetch(net::RequestContext ctx, bool is_write) {
     }
   }
   if (lost) {
-    stats_.Inc("dsm.owner_lost_detected");
+    stats_.Inc(kOwnerLostDetected);
     TraceEv(trace::EventKind::kOwnerLost, p, op_id,
             TraceParent(trace::OpKey(p, op_id)), self_);
     FetchReply fr;
@@ -1473,7 +1526,7 @@ void Host::HandleInvalidate(net::RequestContext ctx) {
   base::WireReader r(ctx.body());
   const PageNum p = r.U32();
   if (!r.ok() || p >= ptable_.num_pages()) {
-    stats_.Inc("dsm.malformed");
+    stats_.Inc(kMalformed);
     return;
   }
   rt_.Delay(profile_->server_op_cost);
@@ -1486,7 +1539,7 @@ void Host::HandleInvalidate(net::RequestContext ctx) {
     if (e.access != Access::kNone) {
       e.access = Access::kNone;
       e.owned = false;
-      stats_.Inc("dsm.invalidations_received");
+      stats_.Inc(kInvalidationsReceived);
       if (referee_ != nullptr) referee_->OnInvalidate(self_, p);
     }
     // Another writer is committing: any retained image is now stale, and so
@@ -1510,7 +1563,7 @@ void Host::HandleConfirm(net::RequestContext ctx) {
   const bool is_write = r.U8() != 0;
   if (!r.ok() || p >= ptable_.num_pages() ||
       (!dir_.dynamic() && !dir_.BaseManagedHere(p))) {
-    stats_.Inc("dsm.malformed");
+    stats_.Inc(kMalformed);
     return;
   }
   // Confirms target the granting manager directly (the requester learned it
@@ -1556,7 +1609,7 @@ void Host::HandleConfirmProbe(net::RequestContext ctx) {
       endpoint_.Notify(manager, kOpGrantExtend, std::move(w).Take());
       break;
     case Answer::kReject:
-      stats_.Inc("dsm.grants_disowned");
+      stats_.Inc(kGrantsDisowned);
       w.U8(0);  // unknown-op disown: says nothing about our copy state
       endpoint_.Notify(manager, kOpGrantReject, std::move(w).Take());
       break;
@@ -1574,7 +1627,7 @@ void Host::HandleGrantReject(net::RequestContext ctx) {
   const bool no_copy = r.U8() != 0;
   if (!r.ok() || p >= ptable_.num_pages() ||
       (!dir_.dynamic() && !dir_.BaseManagedHere(p))) {
-    stats_.Inc("dsm.malformed");
+    stats_.Inc(kMalformed);
     return;
   }
   bool owner_disclaimed = false;
@@ -1587,13 +1640,13 @@ void Host::HandleGrantReject(net::RequestContext ctx) {
     }
     owner_disclaimed = no_copy && mp->owner == ctx.origin();
   }
-  stats_.Inc("dsm.grant_rejects");
+  stats_.Inc(kGrantRejects);
   if (owner_disclaimed) {
     // The owner of record itself just proved it holds no copy (it received
     // a dataless upgrade it cannot back): the copy died in a restart. Heal
     // the entry — promote a surviving holder or apply the lost-page
     // policy — rather than re-granting the same ghost upgrade forever.
-    stats_.Inc("dsm.owner_lost_detected");
+    stats_.Inc(kOwnerLostDetected);
     HandlePageLostLocal(p, op_id, ctx.origin());
     return;
   }
@@ -1606,7 +1659,7 @@ void Host::HandleGrantExtend(net::RequestContext ctx) {
   const std::uint64_t op_id = r.U64();
   if (!r.ok() || p >= ptable_.num_pages() ||
       (!dir_.dynamic() && !dir_.BaseManagedHere(p))) {
-    stats_.Inc("dsm.malformed");
+    stats_.Inc(kMalformed);
     return;
   }
   std::lock_guard<std::mutex> lk(state_mu_);
@@ -1614,7 +1667,7 @@ void Host::HandleGrantExtend(net::RequestContext ctx) {
   if (m != nullptr && m->busy && m->busy_op_id == op_id &&
       m->busy_requester == ctx.origin()) {
     m->busy_since = rt_.Now();  // requester is alive and mid-transfer
-    stats_.Inc("dsm.grant_extends");
+    stats_.Inc(kGrantExtends);
   }
 }
 
@@ -2038,7 +2091,7 @@ void Host::HandleDiffFlush(net::RequestContext ctx) {
   const std::span<const std::uint8_t> raw = r.Raw(total);
   if (!r.ok() || !sane || !cfg_.release_consistency ||
       p >= ptable_.num_pages() || !dir_.BaseManagedHere(p)) {
-    stats_.Inc("dsm.malformed");
+    stats_.Inc(kMalformed);
     return;
   }
   const net::HostId origin = ctx.origin();
@@ -2063,7 +2116,7 @@ void Host::HandleDiffFlush(net::RequestContext ctx) {
     if (recovering_) {
       // Mid-reconstruction versions are untrustworthy; drop the request so
       // the writer's call times out and retries after the rebuild.
-      stats_.Inc("dsm.recovery_dropped_reqs");
+      stats_.Inc(kRecoveryDroppedReqs);
       return;
     }
     // A release re-issued as a fresh call after a timeout must not apply
@@ -2098,7 +2151,7 @@ void Host::HandleDiffFlush(net::RequestContext ctx) {
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     if (recovering_) {
-      stats_.Inc("dsm.recovery_dropped_reqs");
+      stats_.Inc(kRecoveryDroppedReqs);
       return;
     }
     if (const auto it = rc_applied_.find(key); it != rc_applied_.end()) {
@@ -2153,7 +2206,7 @@ void Host::ConvertIncoming(PageNum p, std::span<std::uint8_t> data,
     ConvertSlots(registry_, type, data,
                  static_cast<std::uint32_t>(data.size()), ctx);
     if (cstats.total_lossy() > 0) {
-      stats_.Inc("dsm.convert_lossy", cstats.total_lossy());
+      stats_.Inc(kConvertLossy, cstats.total_lossy());
     }
   }
   // The calibrated Table-3 delay and the per-host conversion counters are
@@ -2164,10 +2217,10 @@ void Host::ConvertIncoming(PageNum p, std::span<std::uint8_t> data,
   const SimDuration delay = registry_.ModeledElementCost(*profile_, type) *
                             static_cast<SimDuration>(elems);
   rt_.Delay(delay);
-  stats_.Inc("dsm.conversions");
-  stats_.Inc("dsm.converted_elements", static_cast<std::int64_t>(elems));
-  stats_.Sample("dsm.convert_ms", ToMillis(delay));
-  stats_.Hist("dsm.convert_time_ms", ToMillis(delay));
+  stats_.Inc(kConversions);
+  stats_.Inc(kConvertedElements, static_cast<std::int64_t>(elems));
+  stats_.Sample(kConvertMs, ToMillis(delay));
+  stats_.Hist(kConvertTimeMs, ToMillis(delay));
   TraceEv(trace::EventKind::kConvert, p, 0, 0,
           static_cast<std::int64_t>(elems),
           static_cast<std::int64_t>(delay));
@@ -2177,7 +2230,7 @@ void Host::DropConvertCacheLocked(PageNum p) {
   for (auto it = convert_cache_.begin(); it != convert_cache_.end();) {
     if (it->first.page == p) {
       it = convert_cache_.erase(it);
-      stats_.Inc("dsm.convert_cache_evictions");
+      stats_.Inc(kConvertCacheEvictions);
     } else {
       ++it;
     }
@@ -2352,7 +2405,7 @@ void Host::HandlePageLost(net::RequestContext ctx) {
   const net::HostId dead_owner = r.U16();
   if (!r.ok() || p >= ptable_.num_pages() ||
       (!dir_.dynamic() && !dir_.BaseManagedHere(p))) {
-    stats_.Inc("dsm.malformed");
+    stats_.Inc(kMalformed);
     return;
   }
   rt_.Delay(profile_->server_op_cost);
@@ -2361,7 +2414,7 @@ void Host::HandlePageLost(net::RequestContext ctx) {
     if (recovering_) {
       // The rebuild arbitrates from fresh claims; a concurrent report adds
       // nothing. No reply: the reporter refaults anyway.
-      stats_.Inc("dsm.recovery_dropped_reqs");
+      stats_.Inc(kRecoveryDroppedReqs);
       return;
     }
   }
@@ -2454,7 +2507,7 @@ void Host::HandleRecoveryQuery(net::RequestContext ctx) {
     const std::uint16_t n = r.U16();
     for (std::uint16_t i = 0; i < n; ++i) wanted.push_back(r.U32());
     if (!r.ok()) {
-      stats_.Inc("dsm.malformed");
+      stats_.Inc(kMalformed);
       return;
     }
   }
@@ -2553,7 +2606,7 @@ void Host::HandleRecoveryDemote(net::RequestContext ctx) {
     c.version = r.U64();
   }
   if (!r.ok()) {
-    stats_.Inc("dsm.malformed");
+    stats_.Inc(kMalformed);
     return;
   }
   rt_.Delay(profile_->server_op_cost);
@@ -2720,7 +2773,7 @@ void Host::RunManagerRecovery() {
         c.host = unanswered[i];
         if (r.ok()) claims.push_back(c);
       }
-      if (!r.ok()) stats_.Inc("dsm.malformed");
+      if (!r.ok()) stats_.Inc(kMalformed);
     }
     unanswered = std::move(next);
   }
@@ -3059,7 +3112,7 @@ void Host::HandleMgrMigrate(net::RequestContext ctx) {
   std::set<net::HostId> copyset;
   for (std::uint16_t i = 0; i < n; ++i) copyset.insert(r.U16());
   if (!r.ok() || !dir_.dynamic() || p >= ptable_.num_pages()) {
-    stats_.Inc("dsm.malformed");
+    stats_.Inc(kMalformed);
     return;
   }
   rt_.Delay(profile_->server_op_cost);
@@ -3197,7 +3250,7 @@ void Host::RunReclaim(PageNum p) {
         c.host = unanswered[i];
         if (cr.ok() && cp == p) claims.push_back(c);
       }
-      if (!cr.ok()) stats_.Inc("dsm.malformed");
+      if (!cr.ok()) stats_.Inc(kMalformed);
     }
     unanswered = std::move(next);
   }

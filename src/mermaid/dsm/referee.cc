@@ -6,6 +6,21 @@
 
 namespace mermaid::dsm {
 
+CoherenceReferee::PageState& CoherenceReferee::TrackLocked(PageNum page) {
+  if (page >= pages_.size()) {
+    pages_.resize(static_cast<std::size_t>(page) + 1);
+  }
+  PageState& st = pages_[page];
+  st.tracked = true;
+  return st;
+}
+
+const CoherenceReferee::PageState* CoherenceReferee::FindLocked(
+    PageNum page) const {
+  if (page >= pages_.size() || !pages_[page].tracked) return nullptr;
+  return &pages_[page];
+}
+
 void CoherenceReferee::SetRelaxed(bool on) {
   std::lock_guard<std::mutex> lk(mu_);
   relaxed_ = on;
@@ -14,7 +29,7 @@ void CoherenceReferee::SetRelaxed(bool on) {
 void CoherenceReferee::OnRcTwin(net::HostId h, PageNum page) {
   std::lock_guard<std::mutex> lk(mu_);
   MERMAID_CHECK_MSG(relaxed_, "twin created outside release-consistency mode");
-  PageState& st = pages_[page];
+  PageState& st = TrackLocked(page);
   MERMAID_CHECK_MSG(st.holders.count(h) == 1,
                     "twin created on a host without a valid copy");
   st.rc_writers.insert(h);
@@ -25,7 +40,7 @@ void CoherenceReferee::OnRcFlush(net::HostId h, PageNum page,
   (void)h;
   std::lock_guard<std::mutex> lk(mu_);
   MERMAID_CHECK_MSG(relaxed_, "diff flushed outside release-consistency mode");
-  PageState& st = pages_[page];
+  PageState& st = TrackLocked(page);
   MERMAID_CHECK_MSG(version >= st.version,
                     "diff flush moved the committed version backwards");
   st.version = version;
@@ -35,7 +50,7 @@ void CoherenceReferee::OnRcRelease(net::HostId h, PageNum page,
                                    bool kept_copy) {
   std::lock_guard<std::mutex> lk(mu_);
   MERMAID_CHECK_MSG(relaxed_, "twin released outside release-consistency mode");
-  PageState& st = pages_[page];
+  PageState& st = TrackLocked(page);
   st.rc_writers.erase(h);
   if (!kept_copy) st.holders.erase(h);
 }
@@ -43,7 +58,7 @@ void CoherenceReferee::OnRcRelease(net::HostId h, PageNum page,
 void CoherenceReferee::OnInstall(net::HostId h, PageNum page,
                                  std::uint64_t version, Access access) {
   std::lock_guard<std::mutex> lk(mu_);
-  PageState& st = pages_[page];
+  PageState& st = TrackLocked(page);
   if (st.orphaned && st.holders.empty()) {
     // The committed copy died with its holders; a recovery promotion may
     // legally re-animate an older retained image as the new lineage.
@@ -68,7 +83,7 @@ void CoherenceReferee::OnInstall(net::HostId h, PageNum page,
 void CoherenceReferee::OnWriteGrant(net::HostId h, PageNum page,
                                     std::uint64_t version) {
   std::lock_guard<std::mutex> lk(mu_);
-  PageState& st = pages_[page];
+  PageState& st = TrackLocked(page);
   MERMAID_CHECK_MSG(!st.writer.has_value() || *st.writer == h,
                     "write granted while another host holds write access");
   MERMAID_CHECK_MSG(st.holders.count(h) == 1,
@@ -83,13 +98,13 @@ void CoherenceReferee::OnWriteGrant(net::HostId h, PageNum page,
 
 void CoherenceReferee::OnDowngrade(net::HostId h, PageNum page) {
   std::lock_guard<std::mutex> lk(mu_);
-  PageState& st = pages_[page];
+  PageState& st = TrackLocked(page);
   if (st.writer.has_value() && *st.writer == h) st.writer.reset();
 }
 
 void CoherenceReferee::OnInvalidate(net::HostId h, PageNum page) {
   std::lock_guard<std::mutex> lk(mu_);
-  PageState& st = pages_[page];
+  PageState& st = TrackLocked(page);
   st.holders.erase(h);
   if (st.writer.has_value() && *st.writer == h) st.writer.reset();
   st.rc_writers.erase(h);
@@ -97,7 +112,7 @@ void CoherenceReferee::OnInvalidate(net::HostId h, PageNum page) {
 
 void CoherenceReferee::OnHostCrash(net::HostId h) {
   std::lock_guard<std::mutex> lk(mu_);
-  for (auto& [page, st] : pages_) {
+  for (PageState& st : pages_) {
     const bool held = st.holders.erase(h) != 0;
     if (st.writer.has_value() && *st.writer == h) st.writer.reset();
     st.rc_writers.erase(h);
@@ -108,7 +123,7 @@ void CoherenceReferee::OnHostCrash(net::HostId h) {
 void CoherenceReferee::OnReinit(net::HostId h, PageNum page,
                                 std::uint64_t version) {
   std::lock_guard<std::mutex> lk(mu_);
-  PageState& st = pages_[page];
+  PageState& st = TrackLocked(page);
   if (!st.holders.empty()) {
     std::fprintf(stderr,
                  "referee: host %u reinitialized page %u (version %llu) "
@@ -134,11 +149,9 @@ void CoherenceReferee::OnMgrMigrate(net::HostId from, net::HostId to,
                                     PageNum page) {
   std::lock_guard<std::mutex> lk(mu_);
   MERMAID_CHECK_MSG(from != to, "manager migration to the current manager");
-  auto it = pages_.find(page);
-  MERMAID_CHECK_MSG(it != pages_.end(),
-                    "manager migration of an untracked page");
-  const PageState& st = it->second;
-  MERMAID_CHECK_MSG(st.holders.count(to) == 1,
+  const PageState* st = FindLocked(page);
+  MERMAID_CHECK_MSG(st != nullptr, "manager migration of an untracked page");
+  MERMAID_CHECK_MSG(st->holders.count(to) == 1,
                     "management migrated to a host without a valid copy");
 }
 
@@ -146,9 +159,9 @@ void CoherenceReferee::CheckAccess(net::HostId h, PageNum page,
                                    std::uint64_t local_version,
                                    Access access) const {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = pages_.find(page);
-  MERMAID_CHECK_MSG(it != pages_.end(), "access to an untracked page");
-  const PageState& st = it->second;
+  const PageState* found = FindLocked(page);
+  MERMAID_CHECK_MSG(found != nullptr, "access to an untracked page");
+  const PageState& st = *found;
   MERMAID_CHECK_MSG(st.holders.count(h) == 1,
                     "access on a host without a valid copy");
   if (relaxed_) {

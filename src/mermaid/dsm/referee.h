@@ -13,9 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "mermaid/dsm/types.h"
 #include "mermaid/net/network.h"
@@ -67,6 +68,9 @@ class CoherenceReferee {
 
  private:
   struct PageState {
+    // Some event named the page. CheckAccess and OnMgrMigrate reject an
+    // untracked page.
+    bool tracked = false;
     std::uint64_t version = 0;
     std::set<net::HostId> holders;           // hosts with a valid copy
     std::optional<net::HostId> writer;       // host with write access
@@ -79,9 +83,14 @@ class CoherenceReferee {
     std::set<net::HostId> rc_writers;
   };
 
+  // The state of `page`, tracked from now on. Caller holds mu_.
+  PageState& TrackLocked(PageNum page);
+  // The state of `page`, or nullptr if it is untracked. Caller holds mu_.
+  const PageState* FindLocked(PageNum page) const;
+
   mutable std::mutex mu_;
   bool relaxed_ = false;
-  std::map<PageNum, PageState> pages_;
+  std::vector<PageState> pages_;  // indexed by page, grown on first event
 };
 
 }  // namespace mermaid::dsm

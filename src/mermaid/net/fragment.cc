@@ -7,6 +7,17 @@
 
 namespace mermaid::net {
 
+namespace {
+
+// Per-fragment stat keys, resolved once (see base::StatKey).
+const base::StatKey kMalformedDropped("frag.malformed_dropped");
+const base::StatKey kMessagesDelivered("frag.messages_delivered");
+const base::StatKey kDuplicateFragments("frag.duplicate_fragments");
+const base::StatKey kStalePartialsDropped("frag.stale_partials_dropped");
+const base::StatKey kReassemblyExpired("net.reassembly_expired");
+
+}  // namespace
+
 Fragmenter::Fragmenter(sim::Runtime& rt, Network& net, HostId self)
     : rt_(rt), net_(net), self_(self), next_msg_id_(1) {}
 
@@ -80,7 +91,7 @@ std::optional<Message> Reassembler::OnPacket(Packet pkt) {
   const std::uint16_t count = r.U16();
   const auto kind = static_cast<MsgKind>(r.U8());
   if (!r.ok() || count == 0 || index >= count || src != pkt.src) {
-    stats_.Inc("frag.malformed_dropped");
+    stats_.Inc(kMalformedDropped);
     return std::nullopt;
   }
   // Adopt the packet's wire storage: the fragment payload is a zero-copy
@@ -94,7 +105,7 @@ std::optional<Message> Reassembler::OnPacket(Packet pkt) {
   DropStaleLocked(now);
 
   if (count == 1) {
-    stats_.Inc("frag.messages_delivered");
+    stats_.Inc(kMessagesDelivered);
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->Record(trace::EventKind::kMsgDelivered, trace_self_, now,
                       trace::kNoPage, msg_id, 0,
@@ -117,12 +128,12 @@ std::optional<Message> Reassembler::OnPacket(Packet pkt) {
     part.seen.assign(count, 0);
   }
   if (part.expected != count) {
-    stats_.Inc("frag.malformed_dropped");
+    stats_.Inc(kMalformedDropped);
     partial_.erase({src, msg_id});
     return std::nullopt;
   }
   if (part.seen[index]) {
-    stats_.Inc("frag.duplicate_fragments");
+    stats_.Inc(kDuplicateFragments);
     return std::nullopt;  // duplicate fragment (retransmitted message)
   }
   part.frags[index] = std::move(frag);
@@ -136,7 +147,7 @@ std::optional<Message> Reassembler::OnPacket(Packet pkt) {
   msg.kind = part.kind;
   for (auto& f : part.frags) msg.payload.Append(std::move(f));
   partial_.erase({src, msg_id});
-  stats_.Inc("frag.messages_delivered");
+  stats_.Inc(kMessagesDelivered);
   if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->Record(trace::EventKind::kMsgDelivered, trace_self_, now,
                     trace::kNoPage, msg_id, 0,
@@ -155,8 +166,8 @@ void Reassembler::PurgeAll() {
   const SimTime now = rt_.Now();
   std::lock_guard<std::mutex> lk(mu_);
   for (auto it = partial_.begin(); it != partial_.end();) {
-    stats_.Inc("frag.stale_partials_dropped");
-    stats_.Inc("net.reassembly_expired");
+    stats_.Inc(kStalePartialsDropped);
+    stats_.Inc(kReassemblyExpired);
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->Record(trace::EventKind::kReassemblyExpired, trace_self_, now,
                       trace::kNoPage, it->first.second, 0,
@@ -176,8 +187,8 @@ void Reassembler::DropStaleLocked(SimTime now) {
     if (now - it->second.first_seen > stale_after_) {
       // Two names for one event: the legacy counter plus the net.* alias
       // that System-level stats reports (the endpoint registry merge).
-      stats_.Inc("frag.stale_partials_dropped");
-      stats_.Inc("net.reassembly_expired");
+      stats_.Inc(kStalePartialsDropped);
+      stats_.Inc(kReassemblyExpired);
       if (tracer_ != nullptr && tracer_->enabled()) {
         tracer_->Record(trace::EventKind::kReassemblyExpired, trace_self_,
                         now, trace::kNoPage, it->first.second, 0,

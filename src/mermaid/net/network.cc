@@ -16,6 +16,16 @@ bool InGroup(const std::vector<HostId>& group, HostId h) {
   return std::find(group.begin(), group.end(), h) != group.end();
 }
 
+// Per-packet stat keys, resolved once (see base::StatKey).
+const base::StatKey kPacketsSent("net.packets_sent");
+const base::StatKey kBytesSent("net.bytes_sent");
+const base::StatKey kPacketsDropped("net.packets_dropped");
+const base::StatKey kOutageDropped("net.outage_dropped");
+const base::StatKey kPartitionDropped("net.partition_dropped");
+const base::StatKey kRuleDropped("net.rule_dropped");
+const base::StatKey kReorderInjected("net.reorder_injected");
+const base::StatKey kDupInjected("net.dup_injected");
+
 }  // namespace
 
 Network::Network(sim::Runtime& rt, Config cfg)
@@ -24,20 +34,17 @@ Network::Network(sim::Runtime& rt, Config cfg)
 sim::Chan<Packet> Network::Attach(HostId id,
                                   const arch::ArchProfile* profile) {
   MERMAID_CHECK(profile != nullptr);
-  MERMAID_CHECK_MSG(hosts_.find(id) == hosts_.end(),
-                    "host attached to the network twice");
-  HostEntry entry;
+  MERMAID_CHECK_MSG(!Attached(id), "host attached to the network twice");
+  if (id >= hosts_.size()) hosts_.resize(static_cast<std::size_t>(id) + 1);
+  HostEntry& entry = hosts_[id];
   entry.profile = profile;
   entry.rx = sim::Chan<Packet>(rt_);
-  auto [it, inserted] = hosts_.emplace(id, std::move(entry));
-  MERMAID_CHECK(inserted);
-  return it->second.rx;
+  return entry.rx;
 }
 
 const arch::ArchProfile& Network::ProfileOf(HostId id) const {
-  auto it = hosts_.find(id);
-  MERMAID_CHECK_MSG(it != hosts_.end(), "unknown host id");
-  return *it->second.profile;
+  MERMAID_CHECK_MSG(Attached(id), "unknown host id");
+  return *hosts_[id].profile;
 }
 
 void Network::SetFaultPlan(FaultPlan plan) {
@@ -129,7 +136,7 @@ bool Network::FaultDropLocked(const Packet& pkt, SimTime send_time,
                               SimTime deliver_time) {
   // A down host cannot put packets on the wire.
   if (HostDownLocked(pkt.src, send_time)) {
-    stats_.Inc("net.outage_dropped");
+    stats_.Inc(kOutageDropped);
     return true;
   }
   // Receive side: nothing reaches a host that is down when the packet is
@@ -137,13 +144,13 @@ bool Network::FaultDropLocked(const Packet& pkt, SimTime send_time,
   // host is simply unreachable for the window).
   if (HostDownLocked(pkt.dst, send_time) ||
       HostDownLocked(pkt.dst, deliver_time)) {
-    stats_.Inc("net.outage_dropped");
+    stats_.Inc(kOutageDropped);
     return true;
   }
   for (const auto& p : plan_.partitions) {
     if (!InWindow(send_time, p.from, p.until)) continue;
     if (InGroup(p.group, pkt.src) != InGroup(p.group, pkt.dst)) {
-      stats_.Inc("net.partition_dropped");
+      stats_.Inc(kPartitionDropped);
       return true;
     }
   }
@@ -153,7 +160,7 @@ bool Network::FaultDropLocked(const Packet& pkt, SimTime send_time,
     if (r.dst.has_value() && *r.dst != pkt.dst) continue;
     if (r.kind.has_value() && *r.kind != pkt.kind) continue;
     if (rng_.NextBool(r.probability)) {
-      stats_.Inc("net.rule_dropped");
+      stats_.Inc(kRuleDropped);
       return true;
     }
   }
@@ -161,14 +168,13 @@ bool Network::FaultDropLocked(const Packet& pkt, SimTime send_time,
 }
 
 void Network::Send(Packet pkt, SimDuration extra_delay) {
-  auto src_it = hosts_.find(pkt.src);
-  auto dst_it = hosts_.find(pkt.dst);
-  MERMAID_CHECK_MSG(src_it != hosts_.end() && dst_it != hosts_.end(),
+  MERMAID_CHECK_MSG(Attached(pkt.src) && Attached(pkt.dst),
                     "send between unattached hosts");
   MERMAID_CHECK(pkt.wire_size() <= cfg_.mtu);
+  HostEntry& dst = hosts_[pkt.dst];
 
   const arch::LinkCost link =
-      arch::LinkCostFor(*src_it->second.profile, *dst_it->second.profile);
+      arch::LinkCostFor(*hosts_[pkt.src].profile, *dst.profile);
   const SimDuration fixed = pkt.kind == MsgKind::kControl ? link.control_fixed
                                                           : link.data_fixed;
   double latency =
@@ -184,15 +190,15 @@ void Network::Send(Packet pkt, SimDuration extra_delay) {
     if (cfg_.jitter > 0) {
       latency *= 1.0 + cfg_.jitter * (2.0 * rng_.NextDouble() - 1.0);
     }
-    stats_.Inc("net.packets_sent");
-    stats_.Inc("net.bytes_sent", static_cast<std::int64_t>(pkt.wire_size()));
+    stats_.Inc(kPacketsSent);
+    stats_.Inc(kBytesSent, static_cast<std::int64_t>(pkt.wire_size()));
     now = rt_.Now();
     if (FaultDropLocked(pkt, now, now + static_cast<SimDuration>(latency))) {
-      stats_.Inc("net.packets_dropped");
+      stats_.Inc(kPacketsDropped);
       dropped = true;
     } else if (cfg_.loss_probability > 0 &&
                rng_.NextBool(cfg_.loss_probability)) {
-      stats_.Inc("net.packets_dropped");
+      stats_.Inc(kPacketsDropped);
       dropped = true;
     }
     if (!dropped) {
@@ -203,7 +209,7 @@ void Network::Send(Packet pkt, SimDuration extra_delay) {
         latency += static_cast<double>(
             rng_.NextBelow(static_cast<std::uint64_t>(
                 std::max<SimDuration>(1, plan_.reorder_delay_max))));
-        stats_.Inc("net.reorder_injected");
+        stats_.Inc(kReorderInjected);
       }
       if (plan_.duplicate_probability > 0 &&
           rng_.NextBool(plan_.duplicate_probability)) {
@@ -211,7 +217,7 @@ void Network::Send(Packet pkt, SimDuration extra_delay) {
         dup_extra = static_cast<SimDuration>(
             rng_.NextBelow(static_cast<std::uint64_t>(
                 std::max<SimDuration>(1, plan_.reorder_delay_max))));
-        stats_.Inc("net.dup_injected");
+        stats_.Inc(kDupInjected);
       }
     }
   }
@@ -224,11 +230,10 @@ void Network::Send(Packet pkt, SimDuration extra_delay) {
   if (dropped) return;
   if (duplicate) {
     Packet copy = pkt;
-    dst_it->second.rx.Send(std::move(copy),
-                           static_cast<SimDuration>(latency) + dup_extra);
+    dst.rx.Send(std::move(copy),
+                static_cast<SimDuration>(latency) + dup_extra);
   }
-  dst_it->second.rx.Send(std::move(pkt),
-                         static_cast<SimDuration>(latency));
+  dst.rx.Send(std::move(pkt), static_cast<SimDuration>(latency));
 }
 
 }  // namespace mermaid::net

@@ -147,7 +147,12 @@ class Network {
   bool HostDown(HostId id, SimTime t) const;
 
   std::uint32_t mtu() const { return cfg_.mtu; }
-  const arch::ArchProfile& ProfileOf(HostId id) const;
+  // True once `id` is attached. Ids come off the wire too, so protocol
+  // layers check this before routing anything to one.
+  bool Attached(HostId id) const {
+    return id < hosts_.size() && hosts_[id].profile != nullptr;
+  }
+  const arch::ArchProfile& ProfileOf(HostId id) const;  // CHECKs Attached
 
   base::StatsRegistry& stats() { return stats_; }
 
@@ -173,7 +178,8 @@ class Network {
   // Never held across blocking.
   mutable std::mutex mu_;
   base::Rng rng_;
-  std::map<HostId, HostEntry> hosts_;
+  // Indexed by HostId; an entry with no profile is a gap between ids.
+  std::vector<HostEntry> hosts_;
   FaultPlan plan_;
   std::set<HostId> paused_;   // imperative PauseHost
   std::set<HostId> crashed_;  // imperative CrashHost

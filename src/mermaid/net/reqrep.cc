@@ -7,6 +7,32 @@
 
 namespace mermaid::net {
 
+namespace {
+
+// Stat keys of the request-response path, resolved once (see
+// base::StatKey).
+const base::StatKey kBackoffTotalMs("reqrep.backoff_total_ms");
+const base::StatKey kCallFailures("reqrep.call_failures");
+const base::StatKey kCallTimeouts("reqrep.call_timeouts");
+const base::StatKey kDedupPurgedReincarnation(
+    "reqrep.dedup_purged_reincarnation");
+const base::StatKey kDuplicates("reqrep.duplicates");
+const base::StatKey kFencedStaleInc("reqrep.fenced_stale_inc");
+const base::StatKey kFencedZombieCalls("reqrep.fenced_zombie_calls");
+const base::StatKey kForwards("reqrep.forwards");
+const base::StatKey kMalformed("reqrep.malformed");
+const base::StatKey kNotifiesHandled("reqrep.notifies_handled");
+const base::StatKey kNotifiesSent("reqrep.notifies_sent");
+const base::StatKey kOrphanReplies("reqrep.orphan_replies");
+const base::StatKey kRepliesSent("reqrep.replies_sent");
+const base::StatKey kRequestsHandled("reqrep.requests_handled");
+const base::StatKey kRequestsSent("reqrep.requests_sent");
+const base::StatKey kRetransmits("reqrep.retransmits");
+const base::StatKey kRttMs("reqrep.rtt_ms");
+const base::StatKey kUnhandledOps("reqrep.unhandled_ops");
+
+}  // namespace
+
 // Request/notify wire layout within a Message payload:
 //   u8 type | u64 req_id | u16 origin | u8 op | [u32 origin_inc] | body...
 // Reply layout:
@@ -24,7 +50,7 @@ void RequestContext::Reply(Body body, MsgKind kind) const {
       entry->saved_body = body;  // bulk data saved as a shared view
       entry->saved_kind = kind;
     }
-    ep_->stats_.Inc("reqrep.replies_sent");
+    ep_->stats_.Inc(kRepliesSent);
   }
   ep_->SendReplyWire(origin_, op_, req_id_, body, kind);
 }
@@ -38,7 +64,7 @@ void RequestContext::Forward(HostId next, Body body) const {
       entry->saved_body = body;
       entry->forwarded_to = next;
     }
-    ep_->stats_.Inc("reqrep.forwards");
+    ep_->stats_.Inc(kForwards);
   }
   // Forwards keep the *origin's* incarnation stamp: the downstream handler
   // and dedup table must fence on the requester's life, not the forwarder's.
@@ -55,7 +81,11 @@ Endpoint::Endpoint(sim::Runtime& rt, Network& net, HostId self,
       fragmenter_(rt, net, self),
       reassembler_(rt),
       rx_(net.Attach(self, profile)),
-      backoff_rng_(cfg.backoff_seed + 0x9e3779b97f4a7c15ULL * (self + 1)) {}
+      backoff_rng_(cfg.backoff_seed + 0x9e3779b97f4a7c15ULL * (self + 1)) {
+  // Room for the few hundred requests most endpoints ever see, so the
+  // request path does not rehash a growing table.
+  dedup_.reserve(128);
+}
 
 void Endpoint::SetHandler(std::uint8_t op,
                           std::function<void(RequestContext)> handler) {
@@ -142,7 +172,7 @@ bool Endpoint::FencePeerIncLocked(HostId peer, std::uint32_t inc,
                                   bool* reincarnated) {
   std::uint32_t& known = peer_inc_[peer];
   if (inc < known) {
-    stats_.Inc("reqrep.fenced_stale_inc");
+    stats_.Inc(kFencedStaleInc);
     return true;
   }
   if (inc > known) {
@@ -168,8 +198,7 @@ bool Endpoint::FencePeerIncLocked(HostId peer, std::uint32_t inc,
           ++it;
         }
       }
-      stats_.Inc("reqrep.dedup_purged_reincarnation",
-                 static_cast<std::int64_t>(purged));
+      stats_.Inc(kDedupPurgedReincarnation, static_cast<std::int64_t>(purged));
     }
   }
   return false;
@@ -189,8 +218,7 @@ void Endpoint::CrashReset() {
     dedup_order_.clear();
   }
   if (zombies > 0) {
-    stats_.Inc("reqrep.fenced_zombie_calls",
-               static_cast<std::int64_t>(zombies));
+    stats_.Inc(kFencedZombieCalls, static_cast<std::int64_t>(zombies));
   }
   reassembler_.PurgeAll();
 }
@@ -210,7 +238,7 @@ void Endpoint::RxLoop() {
       case WireType::kReply: {
         const std::uint64_t req_id = r.U64();
         if (!r.ok()) {
-          stats_.Inc("reqrep.malformed");
+          stats_.Inc(kMalformed);
           break;
         }
         sim::Chan<ReplyMsg> target;
@@ -229,7 +257,7 @@ void Endpoint::RxLoop() {
             rr.U64();
             sender_inc = rr.U32();
             if (!rr.ok()) {
-              stats_.Inc("reqrep.malformed");
+              stats_.Inc(kMalformed);
               dropped = true;
             } else if (FencePeerIncLocked(msg->src, sender_inc, &bumped)) {
               dropped = true;
@@ -238,7 +266,7 @@ void Endpoint::RxLoop() {
           if (!dropped) {
             auto it = pending_.find(req_id);
             if (it == pending_.end()) {
-              stats_.Inc("reqrep.orphan_replies");  // caller gave up already
+              stats_.Inc(kOrphanReplies);  // caller gave up already
             } else {
               target = it->second;
               have_target = true;
@@ -256,7 +284,7 @@ void Endpoint::RxLoop() {
         break;
       }
       default:
-        stats_.Inc("reqrep.malformed");
+        stats_.Inc(kMalformed);
         break;
     }
   }
@@ -271,8 +299,11 @@ void Endpoint::DispatchRequest(Message msg) {
   const std::uint8_t op = r.U8();
   std::uint32_t origin_inc = 0;
   if (cfg_.carry_incarnation) origin_inc = r.U32();
-  if (!r.ok()) {
-    stats_.Inc("reqrep.malformed");
+  // The origin is where the reply (or a forward's eventual reply) goes; an
+  // id no host is attached under cannot be answered, so the request is
+  // garbage from the wire.
+  if (!r.ok() || !net_.Attached(origin)) {
+    stats_.Inc(kMalformed);
     return;
   }
   if (cfg_.carry_incarnation) {
@@ -297,12 +328,10 @@ void Endpoint::DispatchRequest(Message msg) {
     bool is_dup = false;
     {
       std::lock_guard<std::mutex> lk(maps_mu_);
-      if (auto* entry = DedupFind(origin, req_id)) {
+      if (const DedupEntry* entry = DedupClaim(origin, req_id)) {
         is_dup = true;
         replay = *entry;
-        stats_.Inc("reqrep.duplicates");
-      } else {
-        DedupInsert(origin, req_id);
+        stats_.Inc(kDuplicates);
       }
     }
     if (is_dup) {
@@ -324,9 +353,9 @@ void Endpoint::DispatchRequest(Message msg) {
     }
   }
 
-  auto it = handlers_.find(op);
-  if (it == handlers_.end()) {
-    stats_.Inc("reqrep.unhandled_ops");
+  const auto& handler = handlers_[op];
+  if (!handler) {
+    stats_.Inc(kUnhandledOps);
     return;
   }
   RequestContext ctx;
@@ -336,9 +365,8 @@ void Endpoint::DispatchRequest(Message msg) {
   ctx.op_ = op;
   ctx.origin_inc_ = origin_inc;
   ctx.body_ = msg.payload.Slice(RequestFramingBytes()).Flatten();
-  stats_.Inc(type == WireType::kRequest ? "reqrep.requests_handled"
-                                        : "reqrep.notifies_handled");
-  it->second(std::move(ctx));
+  stats_.Inc(type == WireType::kRequest ? kRequestsHandled : kNotifiesHandled);
+  handler(std::move(ctx));
 }
 
 void Endpoint::SendRequestWire(WireType type, HostId dst, std::uint8_t op,
@@ -384,11 +412,19 @@ void Endpoint::SendReplyWire(HostId dst, std::uint8_t op,
 }
 
 void Endpoint::CountTxClass(std::uint8_t op, std::size_t wire_bytes) {
-  const std::string cls =
-      op_namer_ != nullptr ? op_namer_(op) : "op" + std::to_string(op);
-  stats_.Inc("reqrep.tx_msgs." + cls);
-  stats_.Inc("reqrep.tx_bytes." + cls,
-             static_cast<std::int64_t>(wire_bytes));
+  const TxClassKeys keys = [&] {
+    std::lock_guard<std::mutex> lk(maps_mu_);
+    std::optional<TxClassKeys>& slot = tx_keys_[op];
+    if (!slot.has_value()) {
+      const std::string cls =
+          op_namer_ != nullptr ? op_namer_(op) : "op" + std::to_string(op);
+      slot = TxClassKeys{base::StatKey("reqrep.tx_msgs." + cls),
+                         base::StatKey("reqrep.tx_bytes." + cls)};
+    }
+    return *slot;
+  }();
+  stats_.Inc(keys.msgs);
+  stats_.Inc(keys.bytes, static_cast<std::int64_t>(wire_bytes));
 }
 
 Endpoint::DedupEntry* Endpoint::DedupFind(HostId origin,
@@ -397,14 +433,16 @@ Endpoint::DedupEntry* Endpoint::DedupFind(HostId origin,
   return it == dedup_.end() ? nullptr : &it->second;
 }
 
-Endpoint::DedupEntry& Endpoint::DedupInsert(HostId origin,
-                                            std::uint64_t req_id) {
+Endpoint::DedupEntry* Endpoint::DedupClaim(HostId origin,
+                                           std::uint64_t req_id) {
+  auto [it, inserted] = dedup_.try_emplace({origin, req_id});
+  if (!inserted) return &it->second;
   while (dedup_order_.size() >= cfg_.dedup_window) {
     dedup_.erase(dedup_order_.front());
     dedup_order_.pop_front();
   }
   dedup_order_.emplace_back(origin, req_id);
-  return dedup_[{origin, req_id}];
+  return nullptr;
 }
 
 CallResult Endpoint::CallWithStatus(HostId dst, std::uint8_t op, Body body,
@@ -450,7 +488,7 @@ MultiCallResult Endpoint::MultiCallWithStatus(const std::vector<HostId>& dsts,
   for (std::size_t i = 0; i < dsts.size(); ++i) {
     SendRequestWire(WireType::kRequest, dsts[i], op, self_, slots[i].req_id,
                     origin_inc, body, kind);
-    stats_.Inc("reqrep.requests_sent");
+    stats_.Inc(kRequestsSent);
   }
 
   std::size_t remaining = dsts.size();
@@ -471,7 +509,7 @@ MultiCallResult Endpoint::MultiCallWithStatus(const std::vector<HostId>& dsts,
           --remaining;
           // Time from first send to this slot's reply — retransmitted
           // attempts fold into one sample, matching what the caller waited.
-          stats_.Hist("reqrep.rtt_ms", ToMillis(rt_.Now() - call_start));
+          stats_.Hist(kRttMs, ToMillis(rt_.Now() - call_start));
           break;
         }
       }
@@ -498,7 +536,7 @@ MultiCallResult Endpoint::MultiCallWithStatus(const std::vector<HostId>& dsts,
       if (s.done || s.attempts >= max_attempts) continue;
       ++s.attempts;
       any_left = true;
-      stats_.Inc("reqrep.retransmits");
+      stats_.Inc(kRetransmits);
       if (tracer_ != nullptr && tracer_->enabled()) {
         tracer_->Record(trace::EventKind::kRetransmit, self_, rt_.Now(),
                         trace::kNoPage, s.req_id, 0, s.attempts, dsts[i]);
@@ -518,7 +556,7 @@ MultiCallResult Endpoint::MultiCallWithStatus(const std::vector<HostId>& dsts,
     const auto wait = std::max<SimDuration>(
         1, static_cast<SimDuration>(jittered));
     if (wait > timeout) {
-      stats_.Inc("reqrep.backoff_total_ms",
+      stats_.Inc(kBackoffTotalMs,
                  static_cast<std::int64_t>((wait - timeout) / 1'000'000));
     }
     deadline = rt_.Now() + wait;
@@ -539,11 +577,11 @@ MultiCallResult Endpoint::MultiCallWithStatus(const std::vector<HostId>& dsts,
   }
   if (shutdown) {
     out.status = CallStatus::kShutdown;
-    stats_.Inc("reqrep.call_failures");
+    stats_.Inc(kCallFailures);
   } else if (remaining > 0) {
     out.status = CallStatus::kTimedOut;
-    stats_.Inc("reqrep.call_failures");
-    stats_.Inc("reqrep.call_timeouts");
+    stats_.Inc(kCallFailures);
+    stats_.Inc(kCallTimeouts);
     if (tracer_ != nullptr && tracer_->enabled()) {
       for (const auto& s : slots) {
         if (s.done) continue;
@@ -577,7 +615,7 @@ std::optional<std::vector<std::vector<std::uint8_t>>> Endpoint::MultiCall(
 }
 
 void Endpoint::Notify(HostId dst, std::uint8_t op, Body body, MsgKind kind) {
-  stats_.Inc("reqrep.notifies_sent");
+  stats_.Inc(kNotifiesSent);
   std::uint32_t origin_inc = 0;
   if (cfg_.carry_incarnation) {
     std::lock_guard<std::mutex> lk(maps_mu_);

@@ -19,6 +19,7 @@
 // queues contexts per page). Clients call from ordinary processes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -26,6 +27,8 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mermaid/base/buffer.h"
@@ -249,6 +252,19 @@ class Endpoint {
     base::BufferChain body;
   };
 
+  using DedupKey = std::pair<HostId, std::uint64_t>;  // (origin, req_id)
+  struct DedupKeyHash {
+    std::size_t operator()(const DedupKey& k) const {
+      return std::hash<std::uint64_t>{}(k.second * 0x10001u ^ k.first);
+    }
+  };
+
+  // The stat keys CountTxClass bumps for one opcode.
+  struct TxClassKeys {
+    base::StatKey msgs;
+    base::StatKey bytes;
+  };
+
   // Duplicate-suppression record for one (origin, req_id).
   struct DedupEntry {
     enum class State { kPending, kReplied, kForwarded } state =
@@ -284,7 +300,9 @@ class Endpoint {
   // including the request/reply framing.
   void CountTxClass(std::uint8_t op, std::size_t wire_bytes);
   DedupEntry* DedupFind(HostId origin, std::uint64_t req_id);
-  DedupEntry& DedupInsert(HostId origin, std::uint64_t req_id);
+  // Records (origin, req_id) as a pending request, in one lookup; returns
+  // the existing entry instead if the pair is already recorded.
+  DedupEntry* DedupClaim(HostId origin, std::uint64_t req_id);
 
   sim::Runtime& rt_;
   Network& net_;
@@ -293,7 +311,7 @@ class Endpoint {
   Fragmenter fragmenter_;
   Reassembler reassembler_;
   sim::Chan<Packet> rx_;
-  std::map<std::uint8_t, std::function<void(RequestContext)>> handlers_;
+  std::array<std::function<void(RequestContext)>, 256> handlers_;  // by op
   // Guards the maps below for the real-time runtime, where client processes
   // and the rx daemon genuinely run concurrently. Never held across a
   // blocking operation (Delay/Recv) — under the virtual-time engine an OS
@@ -305,11 +323,13 @@ class Endpoint {
   std::map<HostId, std::uint32_t> peer_inc_;
   base::Rng backoff_rng_;  // jitter source; guarded by maps_mu_
   // Outstanding Calls/MultiCalls: req_id -> the caller's reply channel.
-  std::map<std::uint64_t, sim::Chan<ReplyMsg>> pending_;
+  std::unordered_map<std::uint64_t, sim::Chan<ReplyMsg>> pending_;
   // Dedup table with FIFO eviction (rx daemon only, but kept under the same
-  // lock for simplicity).
-  std::map<std::pair<HostId, std::uint64_t>, DedupEntry> dedup_;
-  std::deque<std::pair<HostId, std::uint64_t>> dedup_order_;
+  // lock for simplicity). Hashed: nothing depends on its order.
+  std::unordered_map<DedupKey, DedupEntry, DedupKeyHash> dedup_;
+  std::deque<DedupKey> dedup_order_;
+  // CountTxClass's keys by opcode, resolved on the opcode's first send.
+  std::array<std::optional<TxClassKeys>, 256> tx_keys_;
   base::StatsRegistry stats_;
   trace::Tracer* tracer_ = nullptr;
   const char* (*op_namer_)(std::uint8_t) = nullptr;

@@ -14,6 +14,14 @@ constexpr std::size_t kMaxSeenReleases = 8192;
 // off the front gets the reset flag and conservatively invalidates.
 constexpr std::size_t kNoticeLogCapacity = 8192;
 
+// Stat keys, resolved once (see base::StatKey). The release-consistency
+// ones are bumped on every release.
+const base::StatKey kRcDupReleases("sync.rc_dup_releases");
+const base::StatKey kRcNoticeLogTruncated("sync.rc_notice_log_truncated");
+const base::StatKey kRcNoticesRecorded("sync.rc_notices_recorded");
+const base::StatKey kDeadWaitersDropped("sync.dead_waiters_dropped");
+const base::StatKey kBrokenLocks("sync.broken_locks");
+
 }  // namespace
 
 SyncServer::SyncServer(sim::Runtime& rt) : rt_(rt) {}
@@ -54,7 +62,7 @@ void SyncServer::RecordNotices(net::HostId origin, std::uint64_t release_seq,
                                const std::vector<WriteNotice>& notices) {
   std::lock_guard<std::mutex> lk(mu_);
   if (!seen_releases_.insert({origin, release_seq}).second) {
-    stats_.Inc("sync.rc_dup_releases");
+    stats_.Inc(kRcDupReleases);
     return;
   }
   seen_release_order_.emplace_back(origin, release_seq);
@@ -65,14 +73,13 @@ void SyncServer::RecordNotices(net::HostId origin, std::uint64_t release_seq,
   for (const auto& n : notices) {
     if (notice_log_.size() >= kNoticeLogCapacity) {
       notice_log_.pop_front();
-      stats_.Inc("sync.rc_notice_log_truncated");
+      stats_.Inc(kRcNoticeLogTruncated);
     }
     notice_log_.push_back(n);
     ++next_notice_seq_;
   }
   if (!notices.empty()) {
-    stats_.Inc("sync.rc_notices_recorded",
-               static_cast<std::int64_t>(notices.size()));
+    stats_.Inc(kRcNoticesRecorded, static_cast<std::int64_t>(notices.size()));
   }
 }
 
@@ -259,8 +266,7 @@ void SyncServer::BreakHost(net::HostId h) {
       const auto dropped = std::erase_if(
           s.waiters, [h](const Waiter& w) { return w.origin == h; });
       if (dropped != 0) {
-        stats_.Inc("sync.dead_waiters_dropped",
-                   static_cast<std::int64_t>(dropped));
+        stats_.Inc(kDeadWaitersDropped, static_cast<std::int64_t>(dropped));
       }
       auto broken = s.holders.count(h);
       if (broken == 0) continue;
@@ -268,7 +274,7 @@ void SyncServer::BreakHost(net::HostId h) {
       // Each broken hold is a forced V: hand the grant to the next live
       // waiter, or return it to the count.
       while (broken-- > 0) {
-        stats_.Inc("sync.broken_locks");
+        stats_.Inc(kBrokenLocks);
         if (!s.waiters.empty()) {
           s.holders.insert(s.waiters.front().origin);
           release.push_back(std::move(s.waiters.front()));
@@ -282,8 +288,7 @@ void SyncServer::BreakHost(net::HostId h) {
       const auto dropped = std::erase_if(
           e.waiters, [h](const Waiter& w) { return w.origin == h; });
       if (dropped != 0) {
-        stats_.Inc("sync.dead_waiters_dropped",
-                   static_cast<std::int64_t>(dropped));
+        stats_.Inc(kDeadWaitersDropped, static_cast<std::int64_t>(dropped));
       }
     }
     // A dead barrier arrival is forgotten: the restarted host's thread must
@@ -292,8 +297,7 @@ void SyncServer::BreakHost(net::HostId h) {
       const auto dropped = std::erase_if(
           b.waiters, [h](const Waiter& w) { return w.origin == h; });
       if (dropped != 0) {
-        stats_.Inc("sync.dead_waiters_dropped",
-                   static_cast<std::int64_t>(dropped));
+        stats_.Inc(kDeadWaitersDropped, static_cast<std::int64_t>(dropped));
       }
     }
   }

@@ -461,6 +461,78 @@ TEST(DirRecovery, ReclaimAfterAdoptedManagerDeath) {
   ExpectQuiescent(sys);
 }
 
+// The *adopted* manager of a migrated page crashes while a write grant it
+// issued is still in flight: the requester is stuck invalidating a copy
+// (the holder's ack is lost until 4 s) and its confirm to the adopted
+// manager is lost until 6 s. The base's reclaim must adopt the claimed
+// grant as a busy entry its janitor watches, so that a confirm probe or a
+// lease expiry unsticks the entry; the written value survives either way.
+// Today it is the lease: the requester answers each probe by replaying its
+// confirm to the manager recorded at grant time, the crashed one.
+TEST(DirRecovery, ReclaimAdoptsClaimedInflightGrant) {
+  SystemConfig cfg = DirRecoveryConfig(72003);
+  cfg.grant_lease = Seconds(10);
+  constexpr PageNum kPages = 64;
+  const PageNum p = PickPageManagedBy(cfg, 5, kPages, /*want=*/1);
+  const net::HostId base_mgr = 1, adopted = 2, requester = 3, holder = 4;
+  net::FaultPlan plan;
+  net::FaultPlan::DropRule ack;  // copy holder -> requester
+  ack.src = holder;
+  ack.dst = requester;
+  ack.until = Seconds(4);
+  plan.drops.push_back(ack);
+  net::FaultPlan::DropRule confirm;  // requester -> adopted manager
+  confirm.src = requester;
+  confirm.dst = adopted;
+  confirm.until = Seconds(6);
+  plan.drops.push_back(confirm);
+
+  sim::Engine eng;
+  System sys(eng, cfg,
+             {&arch::FireflyProfile(), &arch::FireflyProfile(),
+              &arch::FireflyProfile(), &arch::FireflyProfile(),
+              &arch::FireflyProfile()});
+  sys.network().SetFaultPlan(plan);
+  sys.Start();
+
+  std::int64_t seen = -1;
+  sys.SpawnThread(0, "master", [&](Host& h) {
+    sys.Alloc(0, Reg::kLong, kPages * 128);  // whole region
+    const GlobalAddr a = 1024ull * p;
+    sys.sync(0).SemInit(1, 0);
+    sys.SpawnThread(adopted, "first-writer", [&, a](Host& hh) {
+      hh.Write<std::int64_t>(a, 7);  // management migrates 1 -> 2
+      sys.sync(adopted).V(1);
+    });
+    sys.sync(0).P(1);
+    h.runtime().Delay(Milliseconds(300));  // migration handshake completes
+    sys.SpawnThread(holder, "reader", [&, a](Host& hh) {
+      EXPECT_EQ(hh.Read<std::int64_t>(a), 7);  // the copy to invalidate
+      sys.sync(holder).V(1);
+    });
+    sys.sync(0).P(1);
+    sys.SpawnThread(requester, "writer", [&, a](Host& hh) {
+      hh.Write<std::int64_t>(a, 42);
+      sys.sync(requester).V(1);
+    });
+    h.runtime().Delay(Milliseconds(500));  // grant provably in flight
+    sys.CrashAndRestartHost(adopted, Seconds(1));
+    sys.sync(0).P(1);
+    seen = h.Read<std::int64_t>(a);  // queued behind the adopted grant
+    h.runtime().Delay(Seconds(2));
+  });
+  eng.Run();
+  EXPECT_EQ(seen, 42);
+  auto& st = sys.GatherStats();
+  EXPECT_EQ(st.Count("dsm.crashes"), 1);
+  EXPECT_GE(st.Count("dsm.mgr_reclaims_run"), 1);
+  const auto& base = sys.host(base_mgr).stats();
+  EXPECT_GE(base.Count("dsm.recovery_inflight_adopted"), 1);
+  EXPECT_GE(base.Count("dsm.confirm_probes"), 1)
+      << "the janitor must watch the adopted grant";
+  ExpectQuiescent(sys);
+}
+
 // ---------------------------------------------------------------------------
 // Chaos with every directory knob on: dynamic directory + hot-page voting
 // + crash recovery, 30% loss, zipf-skewed access, and a crash of the

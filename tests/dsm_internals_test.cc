@@ -1,6 +1,9 @@
 // Unit tests of DSM internals: page-table role assignment, the coherence
 // referee's violation detection, and host-level protocol robustness against
 // malformed traffic.
+#include <set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mermaid/base/wire.h"
@@ -42,6 +45,99 @@ TEST(Directory, ForEachManagedVisitsExactlyOwnPages) {
   std::vector<PageNum> visited;
   dir.ForEachManaged([&](PageNum p, ManagerEntry&) { visited.push_back(p); });
   EXPECT_EQ(visited, (std::vector<PageNum>{2, 6, 10}));
+}
+
+// Under kDynamic a directory holds its base-managed entries plus entries it
+// adopted for other hosts' pages. Every view must agree on the union, in
+// ascending page order, through erase/re-adopt of a base page and a crash
+// wipe.
+TEST(Directory, ForEachManagedMergesAdoptedInPageOrder) {
+  SystemConfig cfg;
+  cfg.directory_mode = SystemConfig::DirectoryMode::kDynamic;
+  constexpr PageNum kPages = 64;
+  constexpr net::HostId kSelf = 1;
+  const Placement placement(cfg, /*num_hosts=*/4, kPages);
+  Directory dir(cfg, kSelf, placement);
+  const std::vector<PageNum> base(placement.PagesOf(kSelf).begin(),
+                                  placement.PagesOf(kSelf).end());
+  ASSERT_GE(base.size(), 3u);
+
+  // Every third foreign page, so adopted pages fall below, between and
+  // above the base pages.
+  std::set<PageNum> expected(base.begin(), base.end());
+  for (PageNum p = 0; p < kPages; ++p) {
+    if (placement.BaseManagerOf(p) == kSelf || p % 3 != 0) continue;
+    ManagerEntry& m = dir.AdoptManager(p);
+    m.owner = 3;
+    m.version = p;
+    expected.insert(p);
+  }
+  ASSERT_LT(*expected.begin(), base.front());
+  ASSERT_GT(*expected.rbegin(), base.back());
+
+  const auto check_views = [&](const std::set<PageNum>& want) {
+    const std::vector<PageNum> want_v(want.begin(), want.end());
+    std::vector<PageNum> visited;
+    dir.ForEachManaged([&](PageNum p, ManagerEntry& m) {
+      visited.push_back(p);
+      EXPECT_EQ(dir.FindManager(p), &m) << "page " << p;
+    });
+    EXPECT_EQ(visited, want_v);
+    EXPECT_EQ(dir.ManagedPages(), want_v);
+    for (PageNum p = 0; p < kPages; ++p) {
+      const bool managed = want.count(p) != 0;
+      EXPECT_EQ(dir.ManagedHere(p), managed) << "page " << p;
+      EXPECT_EQ(dir.FindManager(p) != nullptr, managed) << "page " << p;
+    }
+  };
+  check_views(expected);
+  for (PageNum p : expected) {
+    if (placement.BaseManagerOf(p) != kSelf) {
+      EXPECT_EQ(dir.Manager(p).owner, 3);
+      EXPECT_EQ(dir.Manager(p).version, p);
+    }
+  }
+
+  // A base page migrates away mid-transfer, then management comes back:
+  // the re-adopted entry starts fresh.
+  const PageNum b = base[1];
+  ManagerEntry& old = dir.Manager(b);
+  EXPECT_EQ(old.owner, kSelf);
+  old.owner = 2;
+  old.copyset = {2, 3};
+  old.version = 9;
+  old.busy = true;
+  old.busy_op_id = 77;
+  old.busy_requester = 2;
+  old.migrating = true;
+  old.hot_score = 5;
+  dir.EraseManager(b);
+  expected.erase(b);
+  check_views(expected);
+
+  ManagerEntry& fresh = dir.AdoptManager(b);
+  expected.insert(b);
+  check_views(expected);
+  EXPECT_EQ(fresh.owner, 0);
+  EXPECT_TRUE(fresh.copyset.empty());
+  EXPECT_EQ(fresh.version, 0u);
+  EXPECT_FALSE(fresh.busy);
+  EXPECT_EQ(fresh.busy_op_id, 0u);
+  EXPECT_FALSE(fresh.migrating);
+  EXPECT_EQ(fresh.hot_score, 0);
+  EXPECT_TRUE(fresh.pending.empty());
+
+  // A crash forgets adopted entries and returns every base entry to the
+  // default (unknown) state.
+  dir.Manager(base[0]).busy = true;
+  dir.WipeForCrash();
+  check_views(std::set<PageNum>(base.begin(), base.end()));
+  dir.ForEachManaged([&](PageNum, ManagerEntry& m) {
+    EXPECT_EQ(m.owner, 0);
+    EXPECT_TRUE(m.copyset.empty());
+    EXPECT_FALSE(m.busy);
+    EXPECT_EQ(m.version, 0u);
+  });
 }
 
 TEST(Referee, AcceptsLegalSequence) {
@@ -175,6 +271,78 @@ TEST(Robustness, OutOfRangePageFromTheWireIsDropped) {
   });
   eng.Run();
   EXPECT_EQ(sys.host(0).stats().Count("dsm.malformed"), 3);
+}
+
+// A one-fragment packet from `src` carrying a request framed as an
+// endpoint frames it (no incarnation stamp) that names `origin` as the
+// host awaiting the reply.
+net::Packet CraftRequest(net::HostId src, net::HostId dst,
+                         net::HostId origin, std::uint64_t req_id,
+                         std::uint8_t op,
+                         const std::vector<std::uint8_t>& body) {
+  base::WireWriter w;
+  w.U64(req_id);  // fragment header: msg id, src, index, count, kind
+  w.U16(src);
+  w.U16(0);
+  w.U16(1);
+  w.U8(static_cast<std::uint8_t>(net::MsgKind::kControl));
+  w.U8(1);  // reqrep framing: request, req id, origin, op
+  w.U64(req_id);
+  w.U16(origin);
+  w.U8(op);
+  w.Raw(body);
+  net::Packet pkt;
+  pkt.src = src;
+  pkt.dst = dst;
+  pkt.kind = net::MsgKind::kControl;
+  pkt.bytes = std::move(w).Take();
+  return pkt;
+}
+
+// The origin field of a request comes off the wire. One naming a host id
+// nobody attached cannot be answered, so the endpoint must count it
+// malformed and drop it before any handler runs: replying would route to
+// the unknown id and abort the receiver.
+TEST(Robustness, RequestFromUnattachedOriginIsDropped) {
+  sim::Engine eng;
+  SystemConfig cfg;
+  cfg.region_bytes = 64 * 1024;
+  System sys(eng, cfg, {&arch::Sun3Profile(), &arch::FireflyProfile()});
+  sys.Start();
+  auto rogue_rx = sys.network().Attach(99, &arch::Sun3Profile());
+
+  base::WireWriter type_set;  // page 0 (managed by host 0) holds ints
+  type_set.U32(0);
+  type_set.U16(arch::TypeRegistry::kInt);
+  type_set.U32(64);
+  const std::vector<std::uint8_t> body = std::move(type_set).Take();
+
+  int replies_to_rogue = 0;
+  std::int32_t seen = 0;
+  sys.SpawnThread(0, "rogue-then-app", [&](Host& h) {
+    bool timed_out = false;
+    // Control: the same request naming the rogue itself is answered.
+    sys.network().Send(CraftRequest(99, 0, 99, 1, kOpTypeSet, body));
+    if (rogue_rx.RecvUntil(h.runtime().Now() + Seconds(1), &timed_out)) {
+      ++replies_to_rogue;
+    }
+    sys.network().Send(CraftRequest(99, 0, 500, 2, kOpTypeSet, body));
+    if (rogue_rx.RecvUntil(h.runtime().Now() + Seconds(1), &timed_out)) {
+      ++replies_to_rogue;
+    }
+    // The host survived and still serves the protocol.
+    const GlobalAddr a = sys.Alloc(0, arch::TypeRegistry::kInt, 16);
+    h.Write<std::int32_t>(a, 4242);
+    sys.sync(0).EventSet(1);
+  });
+  sys.SpawnThread(1, "reader", [&](Host& h) {
+    sys.sync(1).EventWait(1);
+    seen = h.Read<std::int32_t>(0);
+  });
+  eng.Run();
+  EXPECT_EQ(replies_to_rogue, 1);
+  EXPECT_EQ(seen, 4242);
+  EXPECT_EQ(sys.host(0).endpoint().stats().Count("reqrep.malformed"), 1);
 }
 
 // A transfer request whose role byte is neither kToManager nor kToOwner
