@@ -4,11 +4,10 @@
 // The workload is built to exercise the fixed p % N manager map's worst
 // case: every hot page lives at a residue below N/8, so the paper's scheme
 // funnels all manager traffic through one eighth of the fleet while the
-// consistent-hash ring (kSharded) and Li-style dynamic managers (kDynamic)
-// spread it. Each of the 2N hot pages has one dedicated writer; every
-// worker alternates stamping its own pages with zipf-skewed reads of the
-// others' (rank ~ u^2 over the hot set), so managers also serve a skewed
-// read mix. Two headline numbers per mode:
+// consistent-hash ring (kSharded) spreads it. Each of the 2N hot pages has
+// one dedicated writer; every worker alternates stamping its own pages with
+// zipf-skewed reads of the others' (rank ~ u^2 over the hot set), so
+// managers also serve a skewed read mix. Two headline numbers per mode:
 //
 //   gini  — Gini coefficient of per-host lifetime manager grants
 //           (Host::ManagerGrantsTotal), 0 = perfectly even.
@@ -17,8 +16,8 @@
 //           manager shows up as queueing delay, not just hop counts.
 //
 // The run is a regression gate: it exits non-zero unless, at every fleet
-// size, sharded AND dynamic cut the manager-load Gini at least 2x below
-// fixed and beat fixed's p99 fault latency. Writes BENCH_directory.json,
+// size, sharded cuts the manager-load Gini at least 2x below fixed and
+// beats fixed's p99 fault latency. Writes BENCH_directory.json,
 // which also records each run's host wall-clock split into setup (System
 // construction + Start) and run (Engine::Run).
 //
@@ -58,15 +57,12 @@ const arch::ArchProfile& BenchProfile() {
 struct ModeSpec {
   const char* name;
   dsm::SystemConfig::DirectoryMode mode;
-  bool hot;    // hot-page vote instead of pure last-writer migration
-  bool gated;  // participates in the vs-fixed regression gate
 };
 
+// A mode's index seeds its network (net.seed), so the order is fixed.
 constexpr ModeSpec kModes[] = {
-    {"fixed", dsm::SystemConfig::DirectoryMode::kFixed, false, false},
-    {"sharded", dsm::SystemConfig::DirectoryMode::kSharded, false, true},
-    {"dynamic", dsm::SystemConfig::DirectoryMode::kDynamic, false, true},
-    {"dynamic_hot", dsm::SystemConfig::DirectoryMode::kDynamic, true, false},
+    {"fixed", dsm::SystemConfig::DirectoryMode::kFixed},
+    {"sharded", dsm::SystemConfig::DirectoryMode::kSharded},
 };
 
 struct ModeResult {
@@ -74,8 +70,6 @@ struct ModeResult {
   double p99_ms = 0;
   double mean_ms = 0;
   std::int64_t ops = 0;
-  std::int64_t migrations = 0;
-  std::int64_t forwards = 0;
   bool correct = false;
   // Host wall-clock: System construction + Start, then Engine::Run.
   double setup_wall_s = 0;
@@ -126,8 +120,6 @@ ModeResult RunMode(int n_hosts, const ModeSpec& mode, int mode_idx) {
   cfg.page_bytes_override = kPageB;
   cfg.directory_mode = mode.mode;
   cfg.directory_shards_per_host = 32;  // tighter ring balance at scale
-  cfg.hot_page_migration = mode.hot;
-  cfg.hot_page_threshold = 3;  // reached by round 3 of a dominant writer
   cfg.net.seed = 52000 + static_cast<std::uint64_t>(n_hosts) * 10 +
                  static_cast<std::uint64_t>(mode_idx);
 
@@ -158,9 +150,7 @@ ModeResult RunMode(int n_hosts, const ModeSpec& mode, int mode_idx) {
           return base + static_cast<dsm::GlobalAddr>(page_of(j)) * kPageB;
         };
         // Zipf working set with temporal locality: each worker re-reads
-        // the same skew-sampled pages every round (rank ~ u^2), the access
-        // pattern that lets dynamic mode's learned manager locations and
-        // the hot-page vote actually pay off after the first touch.
+        // the same skew-sampled pages every round (rank ~ u^2).
         int read_set[kReadsPerRound];
         for (int k = 0; k < kReadsPerRound; ++k) {
           const double u = rng.NextDouble();
@@ -205,22 +195,16 @@ ModeResult RunMode(int n_hosts, const ModeSpec& mode, int mode_idx) {
   double sum = 0;
   for (double v : all) sum += v;
 
-  auto& st = sys.GatherStats();
   ModeResult r;
   r.gini = Gini(grants);
   r.p99_ms = Percentile(all, 0.99);
   r.mean_ms = all.empty() ? 0 : sum / static_cast<double>(all.size());
   r.ops = static_cast<std::int64_t>(all.size());
-  r.migrations = st.Count("dsm.mgr_migrations");
-  r.forwards = st.Count("dsm.mgr_forwards");
   r.setup_wall_s = setup_wall_s;
   r.run_wall_s = run_wall_s;
   r.correct = true;
   for (int w = 1; w < n_hosts; ++w) {
     r.correct = r.correct && worker_ok[static_cast<std::size_t>(w)];
-  }
-  if (mode.mode == dsm::SystemConfig::DirectoryMode::kDynamic) {
-    r.correct = r.correct && r.migrations > 0;  // the knob demonstrably acted
   }
   return r;
 }
@@ -237,25 +221,21 @@ int main() {
   bool all_ok = true;
   for (int n : {64, 128, 256}) {
     std::printf("\n-- %d hosts --\n", n);
-    std::printf("%12s %8s %10s %10s %7s %7s %7s %4s %8s %8s\n", "mode",
-                "gini", "p99_ms", "mean_ms", "ops", "migr", "fwd", "ok",
-                "setup_s", "run_s");
+    std::printf("%12s %8s %10s %10s %7s %4s %8s %8s\n", "mode", "gini",
+                "p99_ms", "mean_ms", "ops", "ok", "setup_s", "run_s");
     ModeResult fixed;
-    for (int m = 0; m < 4; ++m) {
+    for (int m = 0; m < 2; ++m) {
       const auto& spec = kModes[m];
       const ModeResult r = RunMode(n, spec, m);
-      std::printf(
-          "%12s %8.3f %10.2f %10.2f %7lld %7lld %7lld %4s %8.3f %8.3f\n",
-          spec.name, r.gini, r.p99_ms, r.mean_ms,
-          static_cast<long long>(r.ops), static_cast<long long>(r.migrations),
-          static_cast<long long>(r.forwards), r.correct ? "yes" : "NO",
-          r.setup_wall_s, r.run_wall_s);
+      std::printf("%12s %8.3f %10.2f %10.2f %7lld %4s %8.3f %8.3f\n",
+                  spec.name, r.gini, r.p99_ms, r.mean_ms,
+                  static_cast<long long>(r.ops), r.correct ? "yes" : "NO",
+                  r.setup_wall_s, r.run_wall_s);
       const std::string p =
           "n" + std::to_string(n) + "_" + spec.name + "_";
       report.Add(p + "gini", r.gini);
       report.Add(p + "p99_ms", r.p99_ms);
       report.Add(p + "mean_ms", r.mean_ms);
-      report.Add(p + "migrations", r.migrations);
       report.Add(p + "setup_wall_s", r.setup_wall_s);
       report.Add(p + "run_wall_s", r.run_wall_s);
       all_ok = all_ok && r.correct;
@@ -263,9 +243,8 @@ int main() {
         fixed = r;
         continue;
       }
-      if (!spec.gated) continue;
-      // The regression gate: sharded and dynamic must each cut the
-      // manager-load Gini >= 2x below fixed and beat fixed's p99.
+      // The regression gate: sharded must cut the manager-load Gini >= 2x
+      // below fixed and beat fixed's p99.
       if (r.gini * 2.0 > fixed.gini) {
         std::fprintf(stderr,
                      "FAIL: n=%d %s gini %.3f is not a 2x cut vs fixed "

@@ -65,104 +65,17 @@ Placement::Placement(const SystemConfig& cfg, std::uint16_t num_hosts,
   }
 }
 
-Directory::Directory(const SystemConfig& cfg, net::HostId self,
-                     const Placement& placement)
-    : mode_(cfg.directory_mode),
-      self_(self),
+Directory::Directory(net::HostId self, const Placement& placement)
+    : self_(self),
       placement_(placement),
-      base_(placement.PagesOf(self).size()) {
-  // Initially the base manager owns every page it manages, holding the
+      entries_(placement.PagesOf(self).size()) {
+  // Initially the manager owns every page it manages, holding the
   // zero-filled read copy (the matching LocalPageEntry seeding lives in the
   // Host constructor).
-  for (auto& slot : base_) {
-    ManagerEntry& m = slot.emplace();
+  for (ManagerEntry& m : entries_) {
     m.owner = self_;
     m.copyset.insert(self_);
   }
-}
-
-const ManagerEntry* Directory::FindEntry(PageNum p) const {
-  if (p >= placement_.num_pages()) return nullptr;
-  if (BaseManagedHere(p)) {
-    const auto& slot = base_[placement_.RankOf(p)];
-    return slot.has_value() ? &*slot : nullptr;
-  }
-  auto it = adopted_.find(p);
-  return it == adopted_.end() ? nullptr : &it->second;
-}
-
-ManagerEntry& Directory::Manager(PageNum p) {
-  ManagerEntry* m = FindManager(p);
-  MERMAID_CHECK(m != nullptr);
-  return *m;
-}
-
-ManagerEntry& Directory::AdoptManager(PageNum p) {
-  MERMAID_CHECK(p < placement_.num_pages() && !ManagedHere(p));
-  if (BaseManagedHere(p)) return base_[placement_.RankOf(p)].emplace();
-  return adopted_[p];
-}
-
-void Directory::EraseManager(PageNum p) {
-  if (p >= placement_.num_pages()) return;
-  if (BaseManagedHere(p)) {
-    base_[placement_.RankOf(p)].reset();
-  } else {
-    adopted_.erase(p);
-  }
-}
-
-std::vector<PageNum> Directory::ManagedPages() const {
-  std::vector<PageNum> out;
-  ForEachManaged([&](PageNum p, const ManagerEntry&) { out.push_back(p); });
-  return out;
-}
-
-net::HostId Directory::ManagerTarget(PageNum p) const {
-  auto it = learned_.find(p);
-  if (it != learned_.end()) return it->second.first;
-  return BaseManagerOf(p);
-}
-
-void Directory::LearnManager(PageNum p, net::HostId mgr, std::uint32_t inc) {
-  if (mgr == self_ || BaseManagerOf(p) == mgr) {
-    learned_.erase(p);  // the base placement needs no note
-    return;
-  }
-  learned_[p] = {mgr, inc};
-}
-
-void Directory::ForgetManager(PageNum p) { learned_.erase(p); }
-
-std::size_t Directory::ForgetManagersAt(net::HostId h) {
-  std::size_t cleared = 0;
-  for (auto it = learned_.begin(); it != learned_.end();) {
-    if (it->second.first == h) {
-      it = learned_.erase(it);
-      ++cleared;
-    } else {
-      ++it;
-    }
-  }
-  return cleared;
-}
-
-const Directory::Forward* Directory::ForwardOf(PageNum p) const {
-  auto it = forwards_.find(p);
-  return it == forwards_.end() ? nullptr : &it->second;
-}
-
-void Directory::SetForward(PageNum p, net::HostId to, std::uint32_t inc) {
-  forwards_[p] = Forward{to, inc};
-}
-
-void Directory::ClearForward(PageNum p) { forwards_.erase(p); }
-
-void Directory::WipeForCrash() {
-  for (auto& slot : base_) slot.emplace();  // default (unknown) entry
-  adopted_.clear();
-  forwards_.clear();
-  learned_.clear();
 }
 
 }  // namespace mermaid::dsm

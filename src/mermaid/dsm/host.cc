@@ -24,8 +24,8 @@ void ConvertSlots(const arch::TypeRegistry& reg, arch::TypeId type,
 }
 
 // Stat keys of the fault, manager, owner-serve and conversion paths,
-// resolved once (see base::StatKey). Recovery, release-consistency and
-// migration code bumps its rarer counters by name.
+// resolved once (see base::StatKey). Recovery and release-consistency code
+// bumps its rarer counters by name.
 const base::StatKey kBytesIn("dsm.bytes_in");
 const base::StatKey kBytesOut("dsm.bytes_out");
 const base::StatKey kConfirmProbes("dsm.confirm_probes");
@@ -57,11 +57,6 @@ const base::StatKey kInvalidationsReceived("dsm.invalidations_received");
 const base::StatKey kInvalidationsSent("dsm.invalidations_sent");
 const base::StatKey kMalformed("dsm.malformed");
 const base::StatKey kManagerCallTimeouts("dsm.manager_call_timeouts");
-const base::StatKey kMgrForwards("dsm.mgr_forwards");
-const base::StatKey kMgrLearnedClearedReincarnation(
-    "dsm.mgr_learned_cleared_reincarnation");
-const base::StatKey kMgrRedirects("dsm.mgr_redirects");
-const base::StatKey kMgrRedirectsSent("dsm.mgr_redirects_sent");
 const base::StatKey kOwnerFetchTimeouts("dsm.owner_fetch_timeouts");
 const base::StatKey kOwnerLostDetected("dsm.owner_lost_detected");
 const base::StatKey kOwnerLostObserved("dsm.owner_lost_observed");
@@ -111,8 +106,7 @@ Host::Host(sim::Runtime& rt, net::Network& net, const SystemConfig& cfg,
                 }()),
       mem_(cfg.region_bytes, 0),
       ptable_(placement.num_pages()),
-      dir_(cfg, self, placement),
-      migrate_chan_(rt),
+      dir_(self, placement),
       cpu_busy_until_(profile->cpu_count, 0) {
   // The base manager starts out owning every page it manages, holding the
   // zero-filled read copy (the manager entries themselves are seeded by the
@@ -170,39 +164,7 @@ void Host::Start() {
   endpoint_.SetHandler(kOpDiffFlush, [this](net::RequestContext ctx) {
     HandleDiffFlush(std::move(ctx));
   });
-  endpoint_.SetHandler(kOpMgrMigrate, [this](net::RequestContext ctx) {
-    HandleMgrMigrate(std::move(ctx));
-  });
-  if (cfg_.crash_recovery && dir_.dynamic()) {
-    // A reincarnated peer lost every manager entry it ever adopted. Drop
-    // the learned manager locations naming it the moment its new
-    // incarnation is observed, and queue a reclaim for any base-managed
-    // page whose forward points at the dead life. The endpoint invokes the
-    // observer outside its own locks; state_mu_ is safe here.
-    endpoint_.SetPeerIncObserver([this](net::HostId h, std::uint32_t) {
-      std::size_t forgot = 0;
-      {
-        std::lock_guard<std::mutex> lk(state_mu_);
-        forgot = dir_.ForgetManagersAt(h);
-        std::vector<PageNum> stale;
-        dir_.ForEachForward([&](PageNum p, const Directory::Forward& f) {
-          if (f.to == h) stale.push_back(p);
-        });
-        for (PageNum p : stale) QueueReclaimLocked(p);
-      }
-      if (forgot > 0) {
-        stats_.Inc(kMgrLearnedClearedReincarnation,
-                   static_cast<std::int64_t>(forgot));
-      }
-    });
-  }
   endpoint_.Start();
-
-  if (dir_.dynamic()) {
-    rt_.Spawn("dsm-migrate-" + std::to_string(self_),
-              [this] { MigrationDaemon(); },
-              /*daemon=*/true);
-  }
 
   // Confirm-loss janitor: probes requesters of long-busy transfers and
   // lease-revokes grants whose requester has been unreachable past the
@@ -233,16 +195,15 @@ void Host::Start() {
             // revoke their grant directly on a failed owner fetch); the
             // janitor only chases remote ones.
             for (auto it = busy_watch_.begin(); it != busy_watch_.end();) {
-              const ManagerEntry* m2 = dir_.FindManager(*it);
-              if (m2 == nullptr || !m2->busy ||
-                  m2->busy_requester == self_) {
+              const ManagerEntry& m2 = dir_.Manager(*it);
+              if (!m2.busy || m2.busy_requester == self_) {
                 it = busy_watch_.erase(it);
                 continue;
               }
-              if (now - m2->busy_since > cfg_.grant_lease) {
-                expired.push_back({*it, m2->busy_op_id});
-              } else if (now - m2->busy_since > cfg_.confirm_probe_after) {
-                probes.push_back({*it, m2->busy_op_id, m2->busy_requester});
+              if (now - m2.busy_since > cfg_.grant_lease) {
+                expired.push_back({*it, m2.busy_op_id});
+              } else if (now - m2.busy_since > cfg_.confirm_probe_after) {
+                probes.push_back({*it, m2.busy_op_id, m2.busy_requester});
               }
               ++it;
             }
@@ -289,27 +250,18 @@ LocalPageEntry Host::LocalEntrySnapshot(PageNum p) {
   return ptable_.Local(p);
 }
 
-std::optional<net::HostId> Host::ApplyTypeSet(PageNum p, arch::TypeId type,
-                                              std::uint32_t alloc_bytes) {
+void Host::ApplyTypeSet(PageNum p, arch::TypeId type,
+                        std::uint32_t alloc_bytes) {
+  if (p >= ptable_.num_pages() || !dir_.BaseManagedHere(p)) return;
   std::lock_guard<std::mutex> lk(state_mu_);
-  ManagerEntry* m = dir_.FindManager(p);
-  if (m == nullptr) {
-    // The page's management migrated away (dynamic directory): tell the
-    // caller where, so the authoritative type reaches the live entry. With
-    // neither entry nor forward a reclaim is in flight; the rebuild restores
-    // the type from survivor claims, so there is nowhere to apply it now.
-    const Directory::Forward* fwd = dir_.ForwardOf(p);
-    if (fwd == nullptr) return std::nullopt;
-    return fwd->to;
-  }
-  m->type = type;
-  m->alloc_bytes = std::max(m->alloc_bytes, alloc_bytes);
+  ManagerEntry& m = dir_.Manager(p);
+  m.type = type;
+  m.alloc_bytes = std::max(m.alloc_bytes, alloc_bytes);
   LocalPageEntry& e = ptable_.Local(p);
   if (e.access != Access::kNone) {
     e.type = type;
-    e.alloc_bytes = m->alloc_bytes;
+    e.alloc_bytes = m.alloc_bytes;
   }
-  return std::nullopt;
 }
 
 std::uint64_t Host::ManagerGrantsTotal() {
@@ -320,7 +272,7 @@ std::uint64_t Host::ManagerGrantsTotal() {
 void Host::CountManagerLoad(std::uint64_t* busy, std::uint64_t* pending) {
   std::lock_guard<std::mutex> lk(state_mu_);
   dir_.ForEachManaged([&](PageNum, ManagerEntry& m) {
-    if (m.busy || m.migrating) ++*busy;
+    if (m.busy) ++*busy;
     *pending += m.pending.size();
   });
 }
@@ -425,13 +377,8 @@ void Host::FaultOne(PageNum p, Access needed, FaultTelemetry& telem) {
     const std::uint64_t fault_ev =
         TraceEv(trace::EventKind::kFaultStart, p, 0, 0, is_write ? 1 : 0);
     TraceBind(trace::FaultKey(self_, p), fault_ev);
-    bool managed_here;
-    {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      managed_here = dir_.ManagedHere(p);
-    }
     const FaultOutcome outcome =
-        managed_here
+        dir_.BaseManagedHere(p)
             ? FaultViaLocalManager(p, is_write, telem, life)
             : FaultViaRemoteManager(p, is_write, telem, life);
 
@@ -494,22 +441,16 @@ Host::FaultOutcome Host::FaultViaLocalManager(PageNum p, bool is_write,
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     if (recovering_) return FaultOutcome::kRetry;  // crashed again just now
-    ManagerEntry* mp = dir_.FindManager(p);
-    if (mp == nullptr) {
-      // The entry migrated away between the dispatch check and this lock
-      // (dynamic directory). The retry re-dispatches to the remote path.
-      return FaultOutcome::kRetry;
-    }
-    ManagerEntry& m = *mp;
+    ManagerEntry& m = dir_.Manager(p);
     const bool has_copy = ptable_.Local(p).access != Access::kNone;
-    if (cfg_.crash_recovery && !m.busy && !m.migrating && m.owner == self_ &&
-        !has_copy && !ptable_.Local(p).retained) {
+    if (cfg_.crash_recovery && !m.busy && m.owner == self_ && !has_copy &&
+        !ptable_.Local(p).retained) {
       // The entry names this host as owner, but the copy is gone (a crash
       // of a copyset member left us promoted over a page we never held, or
       // our own amnesia outlived the record). Granting would produce a
       // dataless upgrade with nothing to upgrade; heal the entry first.
       ghost_owner = true;
-    } else if (!m.busy && !m.migrating) {
+    } else if (!m.busy) {
       grant = BuildGrantLocked(p, self_, is_write, has_copy);
       granted_inline = true;
     } else {
@@ -550,7 +491,6 @@ Host::FaultOutcome Host::FaultViaLocalManager(PageNum p, bool is_write,
     reply.to_invalidate = grant.to_invalidate;
     reply.has_data = false;
     reply.data_rep = arch::RepClassByte(*profile_);
-    reply.mgr = self_;
   } else {
     // Fetch from the owner directly (the R/M -> O pattern of Table 4).
     base::WireWriter w;
@@ -563,7 +503,6 @@ Host::FaultOutcome Host::FaultViaLocalManager(PageNum p, bool is_write,
     w.U32(grant.alloc_bytes);
     w.U16(static_cast<std::uint16_t>(grant.to_invalidate.size()));
     for (net::HostId h : grant.to_invalidate) w.U16(h);
-    if (dir_.dynamic()) w.U16(self_);  // granting manager, echoed in reply
     auto resp = endpoint_.CallWithStatus(grant.owner,
                                          is_write ? kOpWriteReq : kOpReadReq,
                                          std::move(w).Take(),
@@ -627,23 +566,14 @@ Host::FaultOutcome Host::FaultViaLocalManager(PageNum p, bool is_write,
 Host::FaultOutcome Host::FaultViaRemoteManager(PageNum p, bool is_write,
                                                FaultTelemetry& telem,
                                                std::uint32_t life) {
+  const net::HostId mgr = dir_.BaseManagerOf(p);
   base::WireWriter w;
   w.U8(kToManager);
   w.U32(p);
-  net::HostId mgr;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     w.U8(ptable_.Local(p).access != Access::kNone ? 1 : 0);  // has_copy
-    mgr = dir_.ManagerTarget(p);
-    if (mgr == self_) {
-      // We are the base manager but the entry migrated away and the learned
-      // location was forgotten: chase our own forward pointer instead.
-      const Directory::Forward* fwd = dir_.ForwardOf(p);
-      if (fwd == nullptr) return FaultOutcome::kRetry;  // reclaim in flight
-      mgr = fwd->to;
-    }
   }
-  if (dir_.dynamic()) w.U8(0);  // forwarding hops ridden so far
   auto resp = endpoint_.CallWithStatus(mgr, is_write ? kOpWriteReq : kOpReadReq,
                                        std::move(w).Take(),
                                        net::MsgKind::kControl, DsmCallOpts());
@@ -653,31 +583,10 @@ Host::FaultOutcome Host::FaultViaRemoteManager(PageNum p, bool is_write,
     // channel is closed now, so a replayed grant can never be consumed; if
     // one was issued, the manager's probe/lease machinery reclaims it.
     stats_.Inc(kManagerCallTimeouts);
-    if (dir_.dynamic()) {
-      // A learned (migrated) location that stopped answering may have died;
-      // fall back to the base manager next round.
-      std::lock_guard<std::mutex> lk(state_mu_);
-      dir_.ForgetManager(p);
-    }
     return FaultOutcome::kRetry;
   }
   FetchReply reply = DecodeFetchReply(resp.body);
   telem.rtts += 1;
-  if (reply.mgr_redirect) {
-    // The addressed host no longer manages the page (stale location or an
-    // exhausted forwarding chain); re-route to its suggestion.
-    stats_.Inc(kMgrRedirects);
-    std::lock_guard<std::mutex> lk(state_mu_);
-    dir_.ForgetManager(p);
-    if (reply.owner != mgr && reply.owner < num_hosts_) {
-      dir_.LearnManager(p, reply.owner, IncOf(reply.owner));
-    }
-    return FaultOutcome::kRetry;
-  }
-  // Under the dynamic directory the granting manager identifies itself in
-  // the reply (the request may have been forwarded along migration
-  // pointers); everything manager-directed below goes there.
-  if (dir_.dynamic()) mgr = reply.mgr;
   if (reply.owner_lost) {
     // The manager forwarded us to an owner that has since restarted with
     // amnesia. Report the loss so the manager repairs its entry (promotes a
@@ -718,7 +627,6 @@ Host::FaultOutcome Host::FaultViaRemoteManager(PageNum p, bool is_write,
       return FaultOutcome::kRetry;
     }
     inflight_ops_[{p, reply.op_id}] = InflightOp{is_write, reply.new_version};
-    if (dir_.dynamic()) dir_.LearnManager(p, mgr, IncOf(mgr));
   }
   // Hop count: served by the manager itself (or an upgrade) is request +
   // reply; a forward to the owner adds the third leg (R -> M -> O -> R).
@@ -752,7 +660,7 @@ Host::FaultOutcome Host::FaultViaRemoteManager(PageNum p, bool is_write,
     case TransferResult::kOk:
       break;
   }
-  RecordCompleted(p, reply.op_id, mgr, is_write);
+  RecordCompleted(p, reply.op_id, is_write);
 
   base::WireWriter cw;
   cw.U32(p);
@@ -975,7 +883,6 @@ ManagerGrant Host::BuildGrantLocked(PageNum p, net::HostId requester,
                                     bool is_write, bool has_copy) {
   ManagerEntry& m = dir_.Manager(p);
   MERMAID_CHECK(!m.busy);
-  MERMAID_CHECK(!m.migrating);
   ++mgr_grants_total_;
   ManagerGrant g;
   g.owner = m.owner;
@@ -1083,7 +990,6 @@ void Host::ManagerIssue(PageNum p, PendingTransfer t) {
     r.data_version = data_version;
     r.new_version = grant.new_version;
     r.owner = grant.owner;
-    r.mgr = self_;
     r.type = grant.type;
     r.alloc_bytes = grant.alloc_bytes;
     r.to_invalidate = grant.to_invalidate;
@@ -1098,8 +1004,7 @@ void Host::ManagerIssue(PageNum p, PendingTransfer t) {
     auto reply = EncodeServeReply(p, t.requester, t.is_write,
                                   !grant.requester_has_copy, grant.op_id,
                                   data_version, grant.new_version, grant.type,
-                                  grant.alloc_bytes, grant.to_invalidate,
-                                  self_);
+                                  grant.alloc_bytes, grant.to_invalidate);
     ctx.Reply(std::move(reply), net::MsgKind::kData);
     return;
   }
@@ -1119,21 +1024,18 @@ void Host::ManagerIssue(PageNum p, PendingTransfer t) {
   w.U32(grant.alloc_bytes);
   w.U16(static_cast<std::uint16_t>(grant.to_invalidate.size()));
   for (net::HostId h : grant.to_invalidate) w.U16(h);
-  if (dir_.dynamic()) w.U16(self_);  // granting manager, echoed in the reply
   ctx.Forward(grant.owner, std::move(w).Take());
 }
 
 void Host::ManagerCommit(PageNum p, std::uint64_t op_id,
                          net::HostId requester, bool is_write) {
-  bool migrate = false;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
-    ManagerEntry* mp = dir_.FindManager(p);
-    if (mp == nullptr || !mp->busy || mp->busy_op_id != op_id) {
+    ManagerEntry& m = dir_.Manager(p);
+    if (!m.busy || m.busy_op_id != op_id) {
       stats_.Inc(kStaleConfirms);
       return;  // duplicate confirm of an already-committed transfer
     }
-    ManagerEntry& m = *mp;
     MERMAID_CHECK(m.busy_requester == requester);
     if (is_write) {
       m.owner = requester;
@@ -1144,60 +1046,20 @@ void Host::ManagerCommit(PageNum p, std::uint64_t op_id,
       m.copyset.insert(requester);
     }
     m.busy = false;
-    // Dynamic directory: management follows the writers. A committed remote
-    // write means the new owner will likely keep writing; hand the entry to
-    // it (always in pure dynamic mode, vote-gated in hot-page mode). The
-    // migrating flag freezes the entry — no grant may issue between this
-    // decision and the daemon's handshake — and RC is excluded: diff homes
-    // are placement-static.
-    if (is_write && requester != self_ && dir_.dynamic() &&
-        !cfg_.release_consistency && !recovering_ && !m.migrating &&
-        ShouldMigrateLocked(m, requester)) {
-      m.migrating = true;
-      migrate = true;
-    }
   }
   TraceEv(trace::EventKind::kManagerCommit, p, op_id,
           TraceParent(trace::OpKey(p, op_id)), is_write ? 1 : 0, requester);
-  if (migrate) {
-    migrate_chan_.Send(MigrateJob{p, requester, /*reclaim=*/false});
-    return;  // the entry is frozen; the daemon drains after the handshake
-  }
   ManagerDrain(p);
-}
-
-bool Host::ShouldMigrateLocked(ManagerEntry& m, net::HostId requester) {
-  if (!cfg_.hot_page_migration) return true;  // pure dynamic: every writer
-  // Boyer–Moore majority vote over the page's remote-write commits: a
-  // migration is only worth its handshake when one writer dominates.
-  ++m.hot_total;
-  if (m.hot_score == 0) {
-    m.hot_candidate = requester;
-    m.hot_score = 1;
-  } else if (m.hot_candidate == requester) {
-    ++m.hot_score;
-  } else {
-    --m.hot_score;
-  }
-  if (m.hot_candidate == requester &&
-      m.hot_score >= static_cast<int>(cfg_.hot_page_threshold)) {
-    m.hot_score = 0;  // restart the vote under the next manager
-    m.hot_total = 0;
-    return true;
-  }
-  return false;
 }
 
 void Host::ManagerDrain(PageNum p) {
   PendingTransfer next;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
-    ManagerEntry* m = dir_.FindManager(p);
-    if (m == nullptr || m->busy || m->migrating || m->pending.empty()) {
-      return;
-    }
-    next = std::move(m->pending.front());
-    m->pending.pop_front();
+    ManagerEntry& m = dir_.Manager(p);
+    if (m.busy || m.pending.empty()) return;
+    next = std::move(m.pending.front());
+    m.pending.pop_front();
   }
   ManagerIssue(p, std::move(next));
 }
@@ -1205,11 +1067,9 @@ void Host::ManagerDrain(PageNum p) {
 void Host::ManagerRevoke(PageNum p, std::uint64_t op_id) {
   {
     std::lock_guard<std::mutex> lk(state_mu_);
-    ManagerEntry* m = dir_.FindManager(p);
-    if (m == nullptr || !m->busy || m->busy_op_id != op_id) {
-      return;  // committed, re-granted, or migrated away
-    }
-    m->busy = false;  // owner/copyset/version deliberately unchanged
+    ManagerEntry& m = dir_.Manager(p);
+    if (!m.busy || m.busy_op_id != op_id) return;  // committed or re-granted
+    m.busy = false;  // owner/copyset/version deliberately unchanged
     stats_.Inc(kGrantsRevoked);
   }
   TraceEv(trace::EventKind::kManagerRevoke, p, op_id,
@@ -1225,13 +1085,12 @@ net::Body Host::EncodeServeReply(
     PageNum p, net::HostId requester, bool is_write, bool data_needed,
     std::uint64_t op_id, std::uint64_t data_version,
     std::uint64_t new_version, arch::TypeId type, std::uint32_t alloc_bytes,
-    const std::vector<net::HostId>& to_invalidate, net::HostId mgr) {
+    const std::vector<net::HostId>& to_invalidate) {
   FetchReply r;
   r.op_id = op_id;
   r.data_version = data_version;
   r.new_version = new_version;
   r.owner = self_;
-  r.mgr = mgr;
   r.type = type;
   r.alloc_bytes = alloc_bytes;
   r.to_invalidate = to_invalidate;
@@ -1378,10 +1237,7 @@ void Host::HandleTransferReq(net::RequestContext ctx, bool is_write) {
   r.U8();  // role
   const PageNum p = r.U32();
   const bool has_copy = r.U8() != 0;
-  std::uint8_t hops = 0;
-  if (dir_.dynamic()) hops = r.U8();
-  if (!r.ok() || p >= ptable_.num_pages() ||
-      (!dir_.dynamic() && !dir_.BaseManagedHere(p))) {
+  if (!r.ok() || p >= ptable_.num_pages() || !dir_.BaseManagedHere(p)) {
     stats_.Inc(kMalformed);
     return;
   }
@@ -1391,9 +1247,7 @@ void Host::HandleTransferReq(net::RequestContext ctx, bool is_write) {
   t.is_write = is_write;
   t.has_copy = has_copy;
   t.requester = ctx.origin();
-  bool issue_now = false;
-  net::HostId fwd_to = self_;
-  net::HostId redirect_to = self_;
+  t.remote = std::move(ctx);
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     if (recovering_) {
@@ -1403,70 +1257,13 @@ void Host::HandleTransferReq(net::RequestContext ctx, bool is_write) {
       stats_.Inc(kRecoveryDroppedReqs);
       return;
     }
-    ManagerEntry* m = dir_.FindManager(p);
-    if (m == nullptr) {
-      // Dynamic mode only (a fixed/sharded misroute is malformed above):
-      // the entry migrated away. Chase our forward pointer while the hop
-      // budget lasts; past it, bounce the requester a redirect so the chain
-      // cannot grow without limit.
-      const Directory::Forward* fwd = dir_.ForwardOf(p);
-      if (fwd != nullptr && cfg_.crash_recovery &&
-          net_.HostDown(fwd->to, rt_.Now())) {
-        // The manager this page migrated to died with its state: reclaim
-        // the entry here (we are the forward holder) and let the requester
-        // retry into the rebuilt entry.
-        QueueReclaimLocked(p);
-        return;
-      }
-      if (fwd != nullptr) {
-        if (hops < cfg_.directory_forward_limit) {
-          fwd_to = fwd->to;
-        } else {
-          redirect_to = fwd->to;
-        }
-      } else if (dir_.BaseManagedHere(p)) {
-        // Base placement with neither entry nor forward: a reclaim is (or
-        // is now) in flight. Drop; the requester retries into the rebuilt
-        // entry.
-        QueueReclaimLocked(p);
-        return;
-      } else {
-        // Misrouted (stale learned manager): point the requester at the
-        // base placement, which either manages the page or holds the start
-        // of the live forward chain.
-        redirect_to = dir_.BaseManagerOf(p);
-      }
-    } else {
-      if (m->busy || m->migrating) {
-        t.remote = std::move(ctx);
-        m->pending.push_back(std::move(t));
-        return;
-      }
-      t.remote = std::move(ctx);
-      issue_now = true;
+    ManagerEntry& m = dir_.Manager(p);
+    if (m.busy) {
+      m.pending.push_back(std::move(t));
+      return;
     }
   }
-  if (issue_now) {
-    ManagerIssue(p, std::move(t));
-    return;
-  }
-  if (fwd_to != self_) {
-    stats_.Inc(kMgrForwards);
-    base::WireWriter w;
-    w.U8(kToManager);
-    w.U32(p);
-    w.U8(has_copy ? 1 : 0);
-    w.U8(static_cast<std::uint8_t>(hops + 1));
-    ctx.Forward(fwd_to, std::move(w).Take());
-    return;
-  }
-  MERMAID_CHECK(redirect_to != self_);
-  stats_.Inc(kMgrRedirectsSent);
-  FetchReply rr;
-  rr.mgr_redirect = true;
-  rr.owner = redirect_to;  // suggestion, not an owner
-  rr.mgr = self_;
-  ctx.Reply(EncodeFetchReply(rr));
+  ManagerIssue(p, std::move(t));
 }
 
 void Host::HandleOwnerFetch(net::RequestContext ctx, bool is_write) {
@@ -1481,8 +1278,6 @@ void Host::HandleOwnerFetch(net::RequestContext ctx, bool is_write) {
   const std::uint16_t n_inv = r.U16();
   std::vector<net::HostId> to_invalidate(n_inv);
   for (auto& h : to_invalidate) h = r.U16();
-  net::HostId mgr = 0;
-  if (dir_.dynamic()) mgr = r.U16();  // granting manager, echoed back
   if (!r.ok() || p >= ptable_.num_pages()) {
     stats_.Inc(kMalformed);
     return;
@@ -1510,14 +1305,13 @@ void Host::HandleOwnerFetch(net::RequestContext ctx, bool is_write) {
     FetchReply fr;
     fr.op_id = op_id;
     fr.owner = self_;
-    fr.mgr = mgr;
     fr.owner_lost = true;
     ctx.Reply(EncodeFetchReply(fr));
     return;
   }
   auto reply = EncodeServeReply(p, ctx.origin(), is_write, data_needed, op_id,
                                 data_version, new_version, type, alloc_bytes,
-                                to_invalidate, mgr);
+                                to_invalidate);
   ctx.Reply(std::move(reply),
             data_needed ? net::MsgKind::kData : net::MsgKind::kControl);
 }
@@ -1532,7 +1326,6 @@ void Host::HandleInvalidate(net::RequestContext ctx) {
   rt_.Delay(profile_->server_op_cost);
   TraceEv(trace::EventKind::kInvalidateRecv, p, 0,
           TraceParent(trace::InvKey(p)), ctx.origin());
-  const net::HostId writer = ctx.origin();
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     LocalPageEntry& e = ptable_.Local(p);
@@ -1546,11 +1339,6 @@ void Host::HandleInvalidate(net::RequestContext ctx) {
     // is every cached converted image of this page.
     e.retained = false;
     DropConvertCacheLocked(p);
-    if (dir_.dynamic() && !cfg_.hot_page_migration && writer != self_) {
-      // Pure dynamic mode migrates management to every committing writer:
-      // the invalidating writer is about to both own and manage this page.
-      dir_.LearnManager(p, writer, IncOf(writer));
-    }
   }
   ctx.Reply({});
 }
@@ -1561,14 +1349,10 @@ void Host::HandleConfirm(net::RequestContext ctx) {
   const std::uint64_t op_id = r.U64();
   const net::HostId requester = r.U16();
   const bool is_write = r.U8() != 0;
-  if (!r.ok() || p >= ptable_.num_pages() ||
-      (!dir_.dynamic() && !dir_.BaseManagedHere(p))) {
+  if (!r.ok() || p >= ptable_.num_pages() || !dir_.BaseManagedHere(p)) {
     stats_.Inc(kMalformed);
     return;
   }
-  // Confirms target the granting manager directly (the requester learned it
-  // from the grant), so the entry is normally here; ManagerCommit tolerates
-  // absence after a recovery rebuild.
   ManagerCommit(p, op_id, requester, is_write);
 }
 
@@ -1579,13 +1363,11 @@ void Host::HandleConfirmProbe(net::RequestContext ctx) {
   if (!r.ok()) return;
   enum class Answer { kConfirm, kExtend, kReject } answer;
   bool is_write = false;
-  net::HostId manager = ctx.origin();
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     if (auto it = completed_.find({p, op_id}); it != completed_.end()) {
       answer = Answer::kConfirm;  // confirm was lost: replay it
-      manager = it->second.manager;
-      is_write = it->second.is_write;
+      is_write = it->second;
     } else if (inflight_ops_.count({p, op_id}) > 0) {
       answer = Answer::kExtend;  // still invalidating/installing
     } else {
@@ -1596,6 +1378,7 @@ void Host::HandleConfirmProbe(net::RequestContext ctx) {
       FenceOpLocked(p, op_id);
     }
   }
+  // Every answer goes to the prober: the manager whose entry is busy.
   base::WireWriter w;
   w.U32(p);
   w.U64(op_id);
@@ -1603,15 +1386,15 @@ void Host::HandleConfirmProbe(net::RequestContext ctx) {
     case Answer::kConfirm:
       w.U16(self_);
       w.U8(is_write ? 1 : 0);
-      endpoint_.Notify(manager, kOpConfirm, std::move(w).Take());
+      endpoint_.Notify(ctx.origin(), kOpConfirm, std::move(w).Take());
       break;
     case Answer::kExtend:
-      endpoint_.Notify(manager, kOpGrantExtend, std::move(w).Take());
+      endpoint_.Notify(ctx.origin(), kOpGrantExtend, std::move(w).Take());
       break;
     case Answer::kReject:
       stats_.Inc(kGrantsDisowned);
       w.U8(0);  // unknown-op disown: says nothing about our copy state
-      endpoint_.Notify(manager, kOpGrantReject, std::move(w).Take());
+      endpoint_.Notify(ctx.origin(), kOpGrantReject, std::move(w).Take());
       break;
   }
 }
@@ -1625,20 +1408,19 @@ void Host::HandleGrantReject(net::RequestContext ctx) {
   // and I verifiably hold nothing"), no_copy=0 is mere abandonment (a probe
   // disown) that says nothing about the sender's copy.
   const bool no_copy = r.U8() != 0;
-  if (!r.ok() || p >= ptable_.num_pages() ||
-      (!dir_.dynamic() && !dir_.BaseManagedHere(p))) {
+  if (!r.ok() || p >= ptable_.num_pages() || !dir_.BaseManagedHere(p)) {
     stats_.Inc(kMalformed);
     return;
   }
   bool owner_disclaimed = false;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
-    ManagerEntry* mp = dir_.FindManager(p);
-    if (mp == nullptr || !mp->busy || mp->busy_op_id != op_id ||
-        mp->busy_requester != ctx.origin()) {
-      return;  // stale reject of a committed, re-granted, or migrated entry
+    const ManagerEntry& m = dir_.Manager(p);
+    if (!m.busy || m.busy_op_id != op_id ||
+        m.busy_requester != ctx.origin()) {
+      return;  // stale reject of a committed or re-granted transfer
     }
-    owner_disclaimed = no_copy && mp->owner == ctx.origin();
+    owner_disclaimed = no_copy && m.owner == ctx.origin();
   }
   stats_.Inc(kGrantRejects);
   if (owner_disclaimed) {
@@ -1657,16 +1439,14 @@ void Host::HandleGrantExtend(net::RequestContext ctx) {
   base::WireReader r(ctx.body());
   const PageNum p = r.U32();
   const std::uint64_t op_id = r.U64();
-  if (!r.ok() || p >= ptable_.num_pages() ||
-      (!dir_.dynamic() && !dir_.BaseManagedHere(p))) {
+  if (!r.ok() || p >= ptable_.num_pages() || !dir_.BaseManagedHere(p)) {
     stats_.Inc(kMalformed);
     return;
   }
   std::lock_guard<std::mutex> lk(state_mu_);
-  ManagerEntry* m = dir_.FindManager(p);
-  if (m != nullptr && m->busy && m->busy_op_id == op_id &&
-      m->busy_requester == ctx.origin()) {
-    m->busy_since = rt_.Now();  // requester is alive and mid-transfer
+  ManagerEntry& m = dir_.Manager(p);
+  if (m.busy && m.busy_op_id == op_id && m.busy_requester == ctx.origin()) {
+    m.busy_since = rt_.Now();  // requester is alive and mid-transfer
     stats_.Inc(kGrantExtends);
   }
 }
@@ -2249,8 +2029,7 @@ void Host::FenceOpLocked(PageNum p, std::uint64_t op_id) {
   }
 }
 
-void Host::RecordCompleted(PageNum p, std::uint64_t op_id,
-                           net::HostId manager, bool is_write) {
+void Host::RecordCompleted(PageNum p, std::uint64_t op_id, bool is_write) {
   std::lock_guard<std::mutex> lk(state_mu_);
   inflight_ops_.erase({p, op_id});
   while (completed_order_.size() >= 4096) {
@@ -2258,7 +2037,7 @@ void Host::RecordCompleted(PageNum p, std::uint64_t op_id,
     completed_order_.pop_front();
   }
   completed_order_.emplace_back(p, op_id);
-  completed_[{p, op_id}] = CompletedOp{manager, is_write};
+  completed_[{p, op_id}] = is_write;
 }
 
 net::Body Host::EncodeFetchReply(const FetchReply& r) const {
@@ -2267,10 +2046,6 @@ net::Body Host::EncodeFetchReply(const FetchReply& r) const {
   w.U64(r.data_version);
   w.U64(r.new_version);
   w.U16(r.owner);
-  // Wire fields gated on the governing knob (house rule): the granting
-  // manager's identity only exists on the wire under the dynamic directory,
-  // so knobs-off byte images are unchanged.
-  if (dir_.dynamic()) w.U16(r.mgr);
   w.U16(r.type);
   w.U32(r.alloc_bytes);
   w.U16(static_cast<std::uint16_t>(r.to_invalidate.size()));
@@ -2279,8 +2054,7 @@ net::Body Host::EncodeFetchReply(const FetchReply& r) const {
   w.U8(r.data_rep);
   w.U8(static_cast<std::uint8_t>((r.sender_converted ? 1 : 0) |
                                  (r.from_cache ? 2 : 0) |
-                                 (r.owner_lost ? 4 : 0) |
-                                 (r.mgr_redirect ? 8 : 0)));
+                                 (r.owner_lost ? 4 : 0)));
   // The page data rides as a shared buffer chain behind the metadata — the
   // endpoint and fragment layers never copy it.
   return net::Body(std::move(w).Take(), r.data);
@@ -2300,7 +2074,6 @@ Host::FetchReply Host::DecodeFetchReply(const base::BufferChain& body) const {
     out.data_version = r.U64();
     out.new_version = r.U64();
     out.owner = r.U16();
-    if (dir_.dynamic()) out.mgr = r.U16();
     out.type = r.U16();
     out.alloc_bytes = r.U32();
     const std::uint16_t n = r.U16();
@@ -2312,7 +2085,6 @@ Host::FetchReply Host::DecodeFetchReply(const base::BufferChain& body) const {
     out.sender_converted = (flags & 1) != 0;
     out.from_cache = (flags & 2) != 0;
     out.owner_lost = (flags & 4) != 0;
-    out.mgr_redirect = (flags & 8) != 0;
     if (r.ok()) {
       if (out.has_data) {
         const std::size_t consumed = meta.size() - r.remaining();
@@ -2344,11 +2116,6 @@ Access AccessFromByte(std::uint8_t b) {
 
 }  // namespace
 
-std::uint32_t Host::IncOf(net::HostId h) {
-  if (!cfg_.crash_recovery) return 0;
-  return h == self_ ? endpoint_.incarnation() : endpoint_.PeerIncarnation(h);
-}
-
 void Host::CrashWipe() {
   // Fence the wire first: bump this host's incarnation (stamped into every
   // subsequent message), abandon pending calls, drop reassembly partials
@@ -2373,7 +2140,6 @@ void Host::CrashWipe() {
     ptable_.WipeForCrash();
     dir_.WipeForCrash();
     busy_watch_.clear();
-    reclaiming_.clear();
     std::fill(mem_.begin(), mem_.end(), 0);
     for (auto& [p, chans] : fault_waiters_) {
       for (auto& c : chans) waiters.push_back(std::move(c));
@@ -2403,8 +2169,7 @@ void Host::HandlePageLost(net::RequestContext ctx) {
   const PageNum p = r.U32();
   const std::uint64_t op_id = r.U64();
   const net::HostId dead_owner = r.U16();
-  if (!r.ok() || p >= ptable_.num_pages() ||
-      (!dir_.dynamic() && !dir_.BaseManagedHere(p))) {
+  if (!r.ok() || p >= ptable_.num_pages() || !dir_.BaseManagedHere(p)) {
     stats_.Inc(kMalformed);
     return;
   }
@@ -2433,9 +2198,7 @@ void Host::HandlePageLostLocal(PageNum p, std::uint64_t op_id,
     // A report carrying a grant id from a previous life of this manager is
     // a pre-crash zombie: the entry was rebuilt since. Drop it.
     if (op_id != 0 && (op_id >> 48) != op_epoch_) return;
-    ManagerEntry* mp = dir_.FindManager(p);
-    if (mp == nullptr) return;  // migrated away: the new manager re-detects
-    ManagerEntry& m = *mp;
+    ManagerEntry& m = dir_.Manager(p);
     if (m.owner != dead_owner) return;  // stale report: already healed
     stats_.Inc("dsm.owner_lost_reports");
     m.copyset.erase(dead_owner);
@@ -2495,22 +2258,9 @@ void Host::HandlePageLostLocal(PageNum p, std::uint64_t op_id,
 }
 
 void Host::HandleRecoveryQuery(net::RequestContext ctx) {
+  // The query covers every page the querying host manages.
   const net::HostId mgr = ctx.origin();
   rt_.Delay(profile_->server_op_cost);
-  // An empty body is the full sweep (every page whose base placement is the
-  // querying host). A non-empty body lists explicit pages — the targeted
-  // reclaim of a migrated directory entry whose manager died — and skips the
-  // base-placement filter, since the reclaiming host need not be the base.
-  std::vector<PageNum> wanted;
-  if (!ctx.body().empty()) {
-    base::WireReader r(ctx.body());
-    const std::uint16_t n = r.U16();
-    for (std::uint16_t i = 0; i < n; ++i) wanted.push_back(r.U32());
-    if (!r.ok()) {
-      stats_.Inc(kMalformed);
-      return;
-    }
-  }
   struct Claim {
     PageNum page = 0;
     std::uint64_t version = 0;
@@ -2519,8 +2269,6 @@ void Host::HandleRecoveryQuery(net::RequestContext ctx) {
     std::uint64_t op_id = 0;
     bool op_is_write = false;
     std::uint64_t op_new_version = 0;
-    std::uint16_t type = 0;
-    std::uint32_t alloc_bytes = 0;
   };
   std::vector<Claim> claims;
   {
@@ -2540,12 +2288,6 @@ void Host::HandleRecoveryQuery(net::RequestContext ctx) {
       }
       c.flags = static_cast<std::uint8_t>((e.owned ? 1 : 0) |
                                           (e.retained ? 2 : 0));
-      // Dynamic directory: flag pages this host currently manages, so the
-      // recovering base host installs a forward pointer instead of seizing
-      // management back from a live migrated entry.
-      if (dir_.dynamic() && dir_.ManagedHere(p) && !recovering_) c.flags |= 4;
-      c.type = static_cast<std::uint16_t>(e.type);
-      c.alloc_bytes = e.alloc_bytes;
       // The highest-id in-flight grant: a decoded-but-unconfirmed transfer
       // this host WILL install, which the manager must adopt as busy.
       for (auto it = inflight_ops_.lower_bound({p, 0});
@@ -2555,22 +2297,15 @@ void Host::HandleRecoveryQuery(net::RequestContext ctx) {
         c.op_new_version = it->second.new_version;
       }
       // Claim only pages with something to say: a copy, a retained image,
-      // an in-flight grant, a managed entry, or a version trace (evidence
-      // the page once lived, so a silent total loss is detected, not
-      // reinitialized).
+      // an in-flight grant, or a version trace (evidence the page once
+      // lived, so a silent total loss is detected, not reinitialized).
       if (c.version == 0 && c.access == 0 && c.flags == 0 && c.op_id == 0) {
         return;
       }
       claims.push_back(c);
     };
-    if (wanted.empty()) {
-      if (mgr < num_hosts_) {
-        for (PageNum p : dir_.placement().PagesOf(mgr)) emit(p);
-      }
-    } else {
-      for (PageNum p : wanted) {
-        if (p < ptable_.num_pages()) emit(p);
-      }
+    if (mgr < num_hosts_) {
+      for (PageNum p : dir_.placement().PagesOf(mgr)) emit(p);
     }
   }
   base::WireWriter w;
@@ -2583,10 +2318,6 @@ void Host::HandleRecoveryQuery(net::RequestContext ctx) {
     w.U64(c.op_id);
     w.U8(c.op_is_write ? 1 : 0);
     w.U64(c.op_new_version);
-    if (dir_.dynamic()) {
-      w.U16(c.type);
-      w.U32(c.alloc_bytes);
-    }
   }
   ctx.Reply(std::move(w).Take());
 }
@@ -2714,7 +2445,6 @@ void Host::RunManagerRecovery() {
     bool op_is_write = false;
     std::uint64_t op_new_version = 0;
     net::HostId host = 0;
-    bool manages = false;  // dynamic: claimant holds the migrated entry
   };
   std::vector<Claim> claims;
   std::vector<net::HostId> unanswered;
@@ -2765,11 +2495,6 @@ void Host::RunManagerRecovery() {
         c.op_id = r.U64();
         c.op_is_write = r.U8() != 0;
         c.op_new_version = r.U64();
-        if (dir_.dynamic()) {
-          c.manages = (flags & 4) != 0;
-          r.U16();  // type: the rebuilt entry keeps its re-applied type set
-          r.U32();  // alloc_bytes: likewise
-        }
         c.host = unanswered[i];
         if (r.ok()) claims.push_back(c);
       }
@@ -2799,7 +2524,6 @@ void Host::RunManagerRecovery() {
   std::vector<PageNum> rebuilt_pages;
   std::int64_t lost = 0;
   std::int64_t adopted = 0;
-  std::int64_t forwarded = 0;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     if (life != life_) return;
@@ -2918,33 +2642,7 @@ void Host::RunManagerRecovery() {
         stats_.Inc("dsm.recovery_inflight_adopted");
       }
     };
-    for (PageNum p : dir_.ManagedPages()) {
-      ManagerEntry* mp = dir_.FindManager(p);
-      if (mp == nullptr) continue;
-      if (dir_.dynamic()) {
-        // A survivor claiming `manages` holds the live migrated entry for
-        // this base page: this host is only its rally point again. Reinstall
-        // the forward pointer instead of seizing management back.
-        const Claim* live_mgr = nullptr;
-        if (auto it = by_page.find(p); it != by_page.end()) {
-          for (const Claim* c : it->second) {
-            if (c->manages &&
-                (live_mgr == nullptr || c->host < live_mgr->host)) {
-              live_mgr = c;
-            }
-          }
-        }
-        if (live_mgr != nullptr) {
-          dir_.EraseManager(p);
-          dir_.SetForward(p, live_mgr->host, IncOf(live_mgr->host));
-          dir_.LearnManager(p, live_mgr->host, IncOf(live_mgr->host));
-          ++forwarded;
-          continue;
-        }
-      }
-      rebuild(p, *mp);
-    }
-    if (forwarded > 0) stats_.Inc("dsm.recovery_forwards", forwarded);
+    dir_.ForEachManaged(rebuild);
     // Referee notification stays under the lock: a crash cannot interpose
     // between the wipe check above and the reinit becoming visible (the
     // wipe itself needs state_mu_), so the referee never records a reinit
@@ -2996,509 +2694,6 @@ void Host::RunManagerRecovery() {
   TraceEv(trace::EventKind::kRecoveryDone, trace::kNoPage, 0, 0,
           static_cast<std::int64_t>(rebuilt_pages.size()), lost);
   (void)adopted;
-}
-
-// --------------------------------------------------------------------------
-// Dynamic directory: migration daemon, handshake, and entry reclaim
-// --------------------------------------------------------------------------
-
-void Host::MigrationDaemon() {
-  for (;;) {
-    auto job = migrate_chan_.Recv();
-    if (!job.has_value()) return;  // engine shutdown
-    if (job->reclaim) {
-      RunReclaim(job->page);
-    } else {
-      RunMigration(job->page, job->target);
-    }
-  }
-}
-
-void Host::RunMigration(PageNum p, net::HostId target) {
-  // Snapshot the frozen entry. ManagerCommit set `migrating` under the lock
-  // before queueing this job; that flag blocks every grant path, so the
-  // snapshot cannot go stale while the handshake is in flight. The target is
-  // the owner of record: migration triggers only on its committed write.
-  std::uint64_t version = 0;
-  arch::TypeId type = arch::TypeRegistry::kChar;
-  std::uint32_t alloc_bytes = 0;
-  std::vector<net::HostId> copyset;
-  bool aborted = false;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    ManagerEntry* m = dir_.FindManager(p);
-    if (m == nullptr || !m->migrating || m->busy) return;  // crash-wiped
-    if (recovering_ ||
-        (cfg_.crash_recovery && net_.HostDown(target, rt_.Now()))) {
-      m->migrating = false;
-      aborted = true;
-    } else {
-      version = m->version;
-      type = m->type;
-      alloc_bytes = m->alloc_bytes;
-      copyset.assign(m->copyset.begin(), m->copyset.end());
-    }
-  }
-  if (aborted) {
-    stats_.Inc("dsm.mgr_migrate_aborted");
-    ManagerDrain(p);
-    return;
-  }
-  base::WireWriter w;
-  w.U32(p);
-  w.U64(version);
-  w.U16(static_cast<std::uint16_t>(type));
-  w.U32(alloc_bytes);
-  w.U16(static_cast<std::uint16_t>(copyset.size()));
-  for (net::HostId h : copyset) w.U16(h);
-  auto resp = endpoint_.CallWithStatus(target, kOpMgrMigrate,
-                                       std::move(w).Take(),
-                                       net::MsgKind::kControl, DsmCallOpts());
-  if (resp.status == net::CallStatus::kShutdown) return;
-  bool accepted = false;
-  if (resp.status == net::CallStatus::kOk) {
-    const base::Buffer flat = resp.body.Flatten();
-    base::WireReader r(flat.span());
-    const std::uint8_t verdict = r.U8();
-    accepted = r.ok() && verdict == 0;
-  }
-  std::deque<PendingTransfer> moved;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    ManagerEntry* m = dir_.FindManager(p);
-    if (m == nullptr || !m->migrating) return;  // crash-wiped mid-handshake
-    m->migrating = false;
-    if (accepted) {
-      moved = std::move(m->pending);
-      dir_.EraseManager(p);
-      dir_.SetForward(p, target, IncOf(target));
-      dir_.LearnManager(p, target, IncOf(target));
-    }
-  }
-  if (!accepted) {
-    // The target refused (raced state change, amnesiac restart) or never
-    // answered: thaw the entry and keep serving from here.
-    stats_.Inc("dsm.mgr_migrate_rejected");
-    ManagerDrain(p);
-    return;
-  }
-  stats_.Inc("dsm.mgr_migrations");
-  TraceEv(trace::EventKind::kMgrMigrate, p, 0,
-          TraceParent(trace::MgrMigrateKey(p)), target, 0);
-  // Parked requesters chase the entry to its new manager (reply duty moves
-  // with the forward); parked local faults wake on the op_id==0 sentinel and
-  // re-dispatch through the remote path.
-  for (PendingTransfer& t : moved) {
-    if (t.remote.has_value()) {
-      base::WireWriter fw;
-      fw.U8(kToManager);
-      fw.U32(p);
-      fw.U8(t.has_copy ? 1 : 0);
-      fw.U8(0);  // fresh forwarding-hop budget
-      t.remote->Forward(target, std::move(fw).Take());
-    } else {
-      t.local_grant.Send(ManagerGrant{});
-    }
-  }
-}
-
-void Host::HandleMgrMigrate(net::RequestContext ctx) {
-  base::WireReader r(ctx.body());
-  const PageNum p = r.U32();
-  const std::uint64_t version = r.U64();
-  const arch::TypeId type = static_cast<arch::TypeId>(r.U16());
-  const std::uint32_t alloc_bytes = r.U32();
-  const std::uint16_t n = r.U16();
-  std::set<net::HostId> copyset;
-  for (std::uint16_t i = 0; i < n; ++i) copyset.insert(r.U16());
-  if (!r.ok() || !dir_.dynamic() || p >= ptable_.num_pages()) {
-    stats_.Inc(kMalformed);
-    return;
-  }
-  rt_.Delay(profile_->server_op_cost);
-  bool accept = false;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    const LocalPageEntry& e = ptable_.Local(p);
-    // Adopt only when the local copy is exactly the committed owned page the
-    // source snapshotted: an amnesiac restart or any interleaved change
-    // makes this host refuse, and the source keeps the entry.
-    if (!recovering_ && dir_.FindManager(p) == nullptr && e.owned &&
-        e.access != Access::kNone && e.version == version) {
-      ManagerEntry& m = dir_.AdoptManager(p);
-      m.owner = self_;
-      m.copyset = std::move(copyset);
-      m.copyset.insert(self_);
-      m.version = version;
-      m.type = type;
-      m.alloc_bytes = alloc_bytes;
-      // The live entry supersedes any stale forward or learned location.
-      dir_.ClearForward(p);
-      dir_.ForgetManager(p);
-      accept = true;
-      // Referee + trace stay under the lock so no grant from the fresh
-      // entry can interleave before the migration is recorded.
-      const std::uint64_t ev =
-          TraceEv(trace::EventKind::kMgrMigrate, p, 0,
-                  TraceParent(trace::MgrMigrateKey(p)), ctx.origin(), 1);
-      TraceBind(trace::MgrMigrateKey(p), ev);
-      if (referee_ != nullptr) referee_->OnMgrMigrate(ctx.origin(), self_, p);
-    }
-  }
-  stats_.Inc(accept ? "dsm.mgr_migrate_adopted" : "dsm.mgr_migrate_refused");
-  base::WireWriter w;
-  w.U8(accept ? 0 : 1);
-  ctx.Reply(std::move(w).Take());
-}
-
-void Host::QueueReclaimLocked(PageNum p) {
-  if (!reclaiming_.insert(p).second) return;  // already queued or running
-  stats_.Inc("dsm.mgr_reclaims");
-  migrate_chan_.Send(MigrateJob{p, 0, /*reclaim=*/true});
-}
-
-bool Host::ForwardNotifyLocked(PageNum p, std::uint8_t op,
-                               std::span<const std::uint8_t> body) {
-  const Directory::Forward* fwd = dir_.ForwardOf(p);
-  if (fwd == nullptr) return false;
-  base::WireWriter w;
-  w.Raw(body);
-  endpoint_.Notify(fwd->to, op, std::move(w).Take());
-  stats_.Inc("dsm.mgr_notify_forwards");
-  return true;
-}
-
-void Host::RunReclaim(PageNum p) {
-  // The manager this page's entry migrated to died with the entry. This host
-  // holds the dangling forward pointer, so it rebuilds the entry locally
-  // from survivor claims — a one-page version of RunManagerRecovery.
-  std::uint32_t life;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    life = life_;
-    if (recovering_ || dir_.FindManager(p) != nullptr) {
-      // Full recovery owns the rebuild, or a migration adopted the entry
-      // here while this job sat in the queue.
-      reclaiming_.erase(p);
-      return;
-    }
-  }
-  stats_.Inc("dsm.mgr_reclaims_run");
-  base::WireWriter qw;
-  qw.U16(1);
-  qw.U32(p);
-  const net::Body qbody = std::move(qw).Take();
-  struct Claim {
-    std::uint64_t version = 0;
-    Access access = Access::kNone;
-    bool owned = false;
-    bool retained = false;
-    std::uint64_t op_id = 0;
-    bool op_is_write = false;
-    std::uint64_t op_new_version = 0;
-    net::HostId host = 0;
-    bool manages = false;
-    arch::TypeId type = arch::TypeRegistry::kChar;
-    std::uint32_t alloc_bytes = 0;
-  };
-  std::vector<Claim> claims;
-  std::vector<net::HostId> unanswered;
-  for (net::HostId h = 0; h < num_hosts_; ++h) {
-    if (h != self_) unanswered.push_back(h);
-  }
-  for (int round = 0;; ++round) {
-    {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      if (life != life_) return;  // crashed meanwhile; the wipe cleaned up
-    }
-    std::erase_if(unanswered, [&](net::HostId h) {
-      return net_.HostDown(h, rt_.Now());
-    });
-    if (unanswered.empty()) break;
-    MERMAID_CHECK_MSG(round <= cfg_.fault_retry_limit,
-                      "manager reclaim query exhausted retries");
-    if (round > 0) rt_.Delay(FaultBackoff(cfg_, round));
-    auto acks = endpoint_.MultiCallWithStatus(unanswered, kOpRecoveryQuery,
-                                              qbody, net::MsgKind::kControl,
-                                              DsmCallOpts());
-    if (acks.status == net::CallStatus::kShutdown) return;
-    std::set<std::size_t> timed_out(acks.timed_out.begin(),
-                                    acks.timed_out.end());
-    std::vector<net::HostId> next;
-    for (std::size_t i = 0; i < unanswered.size(); ++i) {
-      if (timed_out.count(i) != 0) {
-        next.push_back(unanswered[i]);
-        continue;
-      }
-      const base::Buffer flat = acks.replies[i].Flatten();
-      base::WireReader cr(flat.span());
-      const std::uint16_t cn = cr.U16();
-      for (std::uint16_t k = 0; k < cn && cr.ok(); ++k) {
-        Claim c;
-        const PageNum cp = cr.U32();
-        c.version = cr.U64();
-        c.access = AccessFromByte(cr.U8());
-        const std::uint8_t flags = cr.U8();
-        c.owned = (flags & 1) != 0;
-        c.retained = (flags & 2) != 0;
-        c.manages = (flags & 4) != 0;
-        c.op_id = cr.U64();
-        c.op_is_write = cr.U8() != 0;
-        c.op_new_version = cr.U64();
-        c.type = static_cast<arch::TypeId>(cr.U16());
-        c.alloc_bytes = cr.U32();
-        c.host = unanswered[i];
-        if (cr.ok() && cp == p) claims.push_back(c);
-      }
-      if (!cr.ok()) stats_.Inc(kMalformed);
-    }
-    unanswered = std::move(next);
-  }
-  // A live migrated entry surfaced elsewhere (the dead manager had already
-  // handed the page on before dying): repoint the forward instead of
-  // seizing management.
-  const Claim* live_mgr = nullptr;
-  for (const Claim& c : claims) {
-    if (c.manages && (live_mgr == nullptr || c.host < live_mgr->host)) {
-      live_mgr = &c;
-    }
-  }
-  if (live_mgr != nullptr) {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    if (life != life_) return;
-    if (dir_.FindManager(p) == nullptr) {
-      dir_.SetForward(p, live_mgr->host, IncOf(live_mgr->host));
-      dir_.LearnManager(p, live_mgr->host, IncOf(live_mgr->host));
-    }
-    reclaiming_.erase(p);
-    return;
-  }
-  struct Out {
-    net::HostId dst = 0;
-    std::uint8_t mode = 0;  // 0 drop, 1 downgrade+disown, 2 promote
-    std::uint64_t version = 0;
-  };
-  std::vector<Out> outs;
-  bool reinit = false;
-  bool lost = false;
-  // Referee events from self-demotes, reported after the lock (recovery's
-  // lock-order rule: state_mu_ -> referee only).
-  std::vector<std::pair<std::uint8_t, std::uint64_t>> self_evs;
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    if (life != life_) return;
-    if (recovering_ || dir_.FindManager(p) != nullptr) {
-      reclaiming_.erase(p);
-      return;
-    }
-    // This host's own copy competes like any survivor's claim.
-    {
-      const LocalPageEntry& e = ptable_.Local(p);
-      Claim c;
-      c.host = self_;
-      c.version = e.version;
-      c.access = (cfg_.release_consistency && e.access == Access::kWrite)
-                     ? Access::kRead
-                     : e.access;
-      c.owned = e.owned;
-      c.retained = e.retained;
-      c.type = e.type;
-      c.alloc_bytes = e.alloc_bytes;
-      for (auto it = inflight_ops_.lower_bound({p, 0});
-           it != inflight_ops_.end() && it->first.first == p; ++it) {
-        c.op_id = it->first.second;
-        c.op_is_write = it->second.is_write;
-        c.op_new_version = it->second.new_version;
-      }
-      if (c.version > 0 || c.access != Access::kNone || c.owned ||
-          c.retained || c.op_id != 0) {
-        claims.push_back(c);
-      }
-    }
-    ManagerEntry& m = dir_.AdoptManager(p);
-    dir_.ClearForward(p);
-    dir_.ForgetManager(p);
-    const Claim* infl = nullptr;
-    bool evidence = false;
-    std::vector<const Claim*> valid;
-    std::uint64_t vmax = 0;
-    for (const Claim& c : claims) {
-      if (c.version > 0 || c.op_id != 0) evidence = true;
-      if (c.access != Access::kNone || c.retained) {
-        valid.push_back(&c);
-        vmax = std::max(vmax, c.version);
-      }
-      if (c.op_id != 0 && (infl == nullptr || c.op_id > infl->op_id)) {
-        infl = &c;
-      }
-      m.alloc_bytes = std::max(m.alloc_bytes, c.alloc_bytes);
-    }
-    if (valid.empty() && infl == nullptr) {
-      if (evidence) {
-        MERMAID_CHECK_MSG(
-            cfg_.lost_page_policy == SystemConfig::LostPagePolicy::kReinitZero,
-            "page lost with its migrated manager: every copy died");
-        stats_.Inc("dsm.recovery_pages_lost");
-        lost = true;
-      }
-      m.owner = self_;
-      m.copyset.insert(self_);
-      m.version = 0;
-      LocalPageEntry& e = ptable_.Local(p);
-      e.access = Access::kRead;
-      e.owned = true;
-      e.version = 0;
-      e.retained = false;
-      e.type = m.type;
-      e.alloc_bytes = m.alloc_bytes;
-      const std::size_t base = static_cast<std::size_t>(p) * page_bytes_;
-      const std::size_t end =
-          std::min<std::size_t>(base + page_bytes_, mem_.size());
-      std::fill(mem_.begin() + base, mem_.begin() + end, 0);
-      reinit = true;
-      if (referee_ != nullptr) referee_->OnReinit(self_, p, 0);
-    } else {
-      auto rank = [](const Claim* c) {
-        if (c->owned && c->access == Access::kWrite) return 3;
-        if (c->owned) return 2;
-        if (c->access != Access::kNone) return 1;
-        return 0;
-      };
-      const bool adopt = infl != nullptr && infl->op_new_version >= vmax;
-      const Claim* winner = nullptr;
-      for (const Claim* c : valid) {
-        if (c->version < vmax) continue;
-        if (winner == nullptr || rank(c) > rank(winner) ||
-            (rank(c) == rank(winner) && c->host < winner->host)) {
-          winner = c;
-        }
-      }
-      if (winner != nullptr) {
-        m.owner = winner->host;
-        m.version = vmax;
-        m.type = winner->type;
-        for (const Claim* c : valid) {
-          const bool pending_install = adopt && c->host == infl->host;
-          if (c->version < vmax) {
-            if (!pending_install) outs.push_back({c->host, 0, vmax});
-            continue;
-          }
-          if (c == winner) {
-            m.copyset.insert(c->host);
-            outs.push_back({c->host, 2, vmax});
-            continue;
-          }
-          if (c->access == Access::kNone) {
-            if (!pending_install) outs.push_back({c->host, 0, vmax});
-            continue;
-          }
-          m.copyset.insert(c->host);
-          if (c->owned || c->access == Access::kWrite) {
-            if (!pending_install) outs.push_back({c->host, 1, vmax});
-          }
-        }
-      }
-      if (adopt) {
-        if (winner == nullptr) {
-          m.owner = infl->host;
-          m.version = infl->op_new_version;
-          m.type = infl->type;
-        }
-        MarkBusyLocked(p, m, infl->op_id, infl->host, infl->op_is_write,
-                       infl->op_new_version);
-        stats_.Inc("dsm.recovery_inflight_adopted");
-      }
-      // Demotes addressed to this host apply inline, mirroring
-      // HandleRecoveryDemote (fencing included).
-      std::erase_if(outs, [&](const Out& o) {
-        if (o.dst != self_) return false;
-        LocalPageEntry& e = ptable_.Local(p);
-        if (o.mode == 0 || o.mode == 1) {
-          for (auto it = inflight_ops_.lower_bound({p, 0});
-               it != inflight_ops_.end() && it->first.first == p;) {
-            FenceOpLocked(it->first.first, it->first.second);
-            it = inflight_ops_.erase(it);
-          }
-        }
-        if (o.mode == 0) {
-          if (e.access != Access::kNone) {
-            self_evs.push_back({0, 0});
-            stats_.Inc("dsm.recovery_demotions");
-          }
-          e.access = Access::kNone;
-          e.owned = false;
-          e.retained = false;
-          DropConvertCacheLocked(p);
-        } else if (o.mode == 1) {
-          if (e.access == Access::kWrite) {
-            e.access = Access::kRead;
-            self_evs.push_back({1, 0});
-            stats_.Inc("dsm.recovery_demotions");
-          }
-          e.owned = false;
-        } else {
-          if (e.access == Access::kNone && e.retained) {
-            e.access = Access::kRead;
-            e.retained = false;
-            self_evs.push_back({2, e.version});
-          } else if (e.access == Access::kWrite) {
-            e.access = Access::kRead;
-            self_evs.push_back({1, 0});
-          }
-          if (e.access != Access::kNone) {
-            e.owned = true;
-            stats_.Inc("dsm.recovery_promotions");
-          }
-        }
-        return true;
-      });
-    }
-    reclaiming_.erase(p);
-  }
-  for (const auto& [kind, version] : self_evs) {
-    if (referee_ == nullptr) break;
-    if (kind == 0) {
-      referee_->OnInvalidate(self_, p);
-    } else if (kind == 1) {
-      referee_->OnDowngrade(self_, p);
-    } else {
-      referee_->OnInstall(self_, p, version, Access::kRead);
-    }
-  }
-  if (reinit) {
-    TraceEv(trace::EventKind::kRecoveryLost, p, 0, 0, lost ? 1 : 0);
-  } else {
-    TraceEv(trace::EventKind::kRecoveryRebuild, p, 0, 0, 1 /* reclaim */);
-  }
-  // Apply the arbitration on remote claimants; reliable like recovery's
-  // demote delivery, skipped when the destination itself died.
-  std::map<net::HostId, std::vector<Out>> by_dst;
-  for (const Out& o : outs) by_dst[o.dst].push_back(o);
-  for (const auto& [dst, cmds] : by_dst) {
-    base::WireWriter w;
-    w.U16(static_cast<std::uint16_t>(cmds.size()));
-    for (const Out& o : cmds) {
-      w.U32(p);
-      w.U8(o.mode);
-      w.U64(o.version);
-    }
-    const net::Body body = std::move(w).Take();
-    for (int round = 0;; ++round) {
-      {
-        std::lock_guard<std::mutex> lk(state_mu_);
-        if (life != life_) return;
-      }
-      if (net_.HostDown(dst, rt_.Now())) break;
-      MERMAID_CHECK_MSG(round <= cfg_.fault_retry_limit,
-                        "reclaim demote exhausted retries");
-      if (round > 0) rt_.Delay(FaultBackoff(cfg_, round));
-      auto res = endpoint_.CallWithStatus(dst, kOpRecoveryDemote, body,
-                                          net::MsgKind::kControl,
-                                          DsmCallOpts());
-      if (res.status != net::CallStatus::kTimedOut) break;
-    }
-  }
-  ManagerDrain(p);
 }
 
 }  // namespace mermaid::dsm

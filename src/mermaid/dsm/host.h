@@ -30,7 +30,6 @@
 #include <deque>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -208,11 +207,9 @@ class Host {
                       bool reset);
 
   // Used by the System's allocation worker to push authoritative type and
-  // extent information to this host in its manager role. Returns the host
-  // the page's management migrated to when this host no longer manages it
-  // (dynamic directory) — the caller forwards the type-set there.
-  std::optional<net::HostId> ApplyTypeSet(PageNum p, arch::TypeId type,
-                                          std::uint32_t alloc_bytes);
+  // extent information to this host in its manager role. A page this host
+  // does not manage (or one past the region) is ignored.
+  void ApplyTypeSet(PageNum p, arch::TypeId type, std::uint32_t alloc_bytes);
 
   // Transfers granted in this host's manager role over its lifetime (plain
   // counter, not a stats key, so knobs-off registries stay bit-identical).
@@ -244,14 +241,6 @@ class Host {
     // The addressed host restarted with amnesia and no longer holds the
     // page: the requester must report the loss to the manager and retry.
     bool owner_lost = false;
-    // Dynamic directory: the manager that granted this transfer (wire field
-    // only when directory_mode == kDynamic). The requester confirms /
-    // rejects / reports losses to it and learns it as the page's location.
-    net::HostId mgr = 0;
-    // The addressed host does not manage the page (stale learned location or
-    // an exhausted forwarding chain): `owner` carries the suggested manager
-    // and the requester re-routes. No grant fields are valid.
-    bool mgr_redirect = false;
     base::BufferChain data;
   };
 
@@ -363,36 +352,6 @@ class Host {
   // path when its owner fetch times out.
   void ManagerRevoke(PageNum p, std::uint64_t op_id);
 
-  // --- dynamic directory (SystemConfig::directory_mode == kDynamic) -------
-  // A unit of work for the migration daemon: ship page p's management to
-  // `target` (reclaim == false), or rebuild the entry for a base-managed
-  // page whose adopted manager died (reclaim == true).
-  struct MigrateJob {
-    PageNum page = 0;
-    net::HostId target = 0;
-    bool reclaim = false;
-  };
-  // After a committed remote write by `requester`: updates the hot-page
-  // vote and decides whether management should follow the writer. On true
-  // the caller marks the entry migrating and queues a MigrateJob. Caller
-  // holds state_mu_.
-  bool ShouldMigrateLocked(ManagerEntry& m, net::HostId requester);
-  // Daemon body: drains migrate_chan_.
-  void MigrationDaemon();
-  void RunMigration(PageNum p, net::HostId target);
-  void RunReclaim(PageNum p);
-  // Queues a reclaim for base-managed page p unless one is already queued.
-  // Caller holds state_mu_.
-  void QueueReclaimLocked(PageNum p);
-  // Adoption side of the kOpMgrMigrate handshake (rx daemon).
-  void HandleMgrMigrate(net::RequestContext ctx);
-  // Receive-path forwarding for a manager-role notify that reached a host
-  // which migrated the page away: re-notifies the forward target (notifies
-  // are at-most-once already, so re-sending cannot double-apply). True when
-  // forwarded. Caller holds state_mu_.
-  bool ForwardNotifyLocked(PageNum p, std::uint8_t op,
-                           std::span<const std::uint8_t> body);
-
   // --- crash-stop recovery ------------------------------------------------
   // Crash-with-amnesia: resets the endpoint (new incarnation, zombie calls
   // fenced), wipes the page table, conversion cache, memory image, and
@@ -413,25 +372,19 @@ class Host {
   // the caller is itself about to issue a transfer for this page.
   void HandlePageLostLocal(PageNum p, std::uint64_t op_id,
                            net::HostId dead_owner, bool drain = true);
-  // The recorded incarnation of host h: 0 with crash recovery off (keeps
-  // wire images and learned-location state bit-identical), else the
-  // endpoint's current knowledge.
-  std::uint32_t IncOf(net::HostId h);
 
   // --- owner role ---------------------------------------------------------
   // Serves a fetch against the local copy; fills reply fields that depend
   // on the local state and attaches the data (pre-converted for the
   // requester's representation class when the conversion cache is enabled).
-  // Caller provides grant info (`mgr` = the granting manager, echoed in the
-  // reply under the dynamic directory). State transitions happen under
-  // state_mu_; the page copy, codec work, and encode run outside it.
+  // Caller provides grant info. State transitions happen under state_mu_;
+  // the page copy, codec work, and encode run outside it.
   net::Body EncodeServeReply(PageNum p, net::HostId requester, bool is_write,
                              bool data_needed, std::uint64_t op_id,
                              std::uint64_t data_version,
                              std::uint64_t new_version, arch::TypeId type,
                              std::uint32_t alloc_bytes,
-                             const std::vector<net::HostId>& to_invalidate,
-                             net::HostId mgr);
+                             const std::vector<net::HostId>& to_invalidate);
 
   // --- handlers (run in the endpoint's rx daemon; never block) ------------
   void HandleTransferReq(net::RequestContext ctx, bool is_write);
@@ -458,8 +411,7 @@ class Host {
   // Drops every conversion-cache entry for page p (counted as evictions).
   // Caller holds state_mu_.
   void DropConvertCacheLocked(PageNum p);
-  void RecordCompleted(PageNum p, std::uint64_t op_id, net::HostId manager,
-                       bool is_write);
+  void RecordCompleted(PageNum p, std::uint64_t op_id, bool is_write);
   // Adds {p, op_id} to the fenced set (bounded FIFO) so a decoded-but-not-
   // installed grant is discarded instead of installed. Caller holds state_mu_.
   void FenceOpLocked(PageNum p, std::uint64_t op_id);
@@ -500,31 +452,22 @@ class Host {
   std::vector<std::uint8_t> mem_;  // representation-faithful memory image
   PageTable ptable_;
   Directory dir_;  // manager placement + this host's manager entries
-  // Dynamic-directory machinery (guarded by state_mu_ except the Chan):
-  //  - migrate_chan_: jobs for the migration daemon (Chan sends are
-  //    non-blocking, so handlers may enqueue).
-  //  - reclaiming_: base-managed pages with a reclaim queued or running.
-  //  - mgr_grants_total_: lifetime grants in the manager role; plain member
-  //    (not a stats key) so knobs-off stat registries stay bit-identical.
-  sim::Chan<MigrateJob> migrate_chan_;
-  std::set<PageNum> reclaiming_;
+  // Lifetime grants in the manager role; plain member (not a stats key) so
+  // knobs-off stat registries stay bit-identical. Guarded by state_mu_.
   std::uint64_t mgr_grants_total_ = 0;
   // Pages whose manager entry went busy for a remote requester: a superset
   // of the entries the janitor chases, so a tick walks these instead of
-  // every managed entry. The janitor drops pages whose entry is gone, idle
-  // or locally requested; a crash wipe clears the set with the entries.
+  // every managed entry. The janitor drops pages whose entry is idle or
+  // locally requested; a crash wipe clears the set with the entries.
   // Guarded by state_mu_.
   std::set<PageNum> busy_watch_;
   // Local fault coalescing: threads faulting a page another thread is
   // already fetching wait here and re-check.
   std::map<PageNum, std::vector<sim::Chan<bool>>> fault_waiters_;
   std::map<PageNum, bool> fault_inflight_;
-  // Completed transfers for confirm-probe replay (bounded FIFO).
-  struct CompletedOp {
-    net::HostId manager = 0;
-    bool is_write = false;
-  };
-  std::map<std::pair<PageNum, std::uint64_t>, CompletedOp> completed_;
+  // Completed transfers for confirm-probe replay (bounded FIFO): whether
+  // each was a write. The replayed confirm goes to the probing manager.
+  std::map<std::pair<PageNum, std::uint64_t>, bool> completed_;
   std::deque<std::pair<PageNum, std::uint64_t>> completed_order_;
   // Grants this host is processing right now (reply decoded, confirm not yet
   // sent): a confirm-probe for one of these answers "still working"

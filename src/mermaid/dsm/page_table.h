@@ -79,16 +79,6 @@ struct ManagerEntry {
   std::uint64_t busy_new_version = 0;
   SimTime busy_since = 0;
   std::deque<PendingTransfer> pending;
-  // Dynamic directory (SystemConfig::DirectoryMode::kDynamic): set while a
-  // kOpMgrMigrate handshake for this page is in flight. Treated like busy by
-  // every grant path — no transfer may start under a moving manager entry.
-  bool migrating = false;
-  // Hot-page detector (hot_page_migration): Boyer–Moore majority vote over
-  // the remote writers that commit against this entry. When the candidate's
-  // score reaches hot_page_threshold, management migrates to it.
-  net::HostId hot_candidate = 0;
-  int hot_score = 0;
-  std::uint32_t hot_total = 0;  // votes since the entry last migrated/reset
 };
 
 class PageTable {

@@ -145,16 +145,6 @@ void CoherenceReferee::OnReinit(net::HostId h, PageNum page,
   st.orphaned = false;
 }
 
-void CoherenceReferee::OnMgrMigrate(net::HostId from, net::HostId to,
-                                    PageNum page) {
-  std::lock_guard<std::mutex> lk(mu_);
-  MERMAID_CHECK_MSG(from != to, "manager migration to the current manager");
-  const PageState* st = FindLocked(page);
-  MERMAID_CHECK_MSG(st != nullptr, "manager migration of an untracked page");
-  MERMAID_CHECK_MSG(st->holders.count(to) == 1,
-                    "management migrated to a host without a valid copy");
-}
-
 void CoherenceReferee::CheckAccess(net::HostId h, PageNum page,
                                    std::uint64_t local_version,
                                    Access access) const {

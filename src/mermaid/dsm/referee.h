@@ -57,19 +57,13 @@ class CoherenceReferee {
   // A recovering manager re-initialized a lost page to zeroes: `h` becomes
   // the sole holder at `version` (the reinit-zero lost-page policy).
   void OnReinit(net::HostId h, PageNum page, std::uint64_t version);
-  // Dynamic directory: management of `page` migrated `from` -> `to`.
-  // Legality: management may only move to a host holding a valid copy of the
-  // page (the migration target is the page's last committed writer, which by
-  // MRSW still holds the page), and never to the host that already has it.
-  void OnMgrMigrate(net::HostId from, net::HostId to, PageNum page);
   // A typed access on host `h` with this access level and local version.
   void CheckAccess(net::HostId h, PageNum page, std::uint64_t local_version,
                    Access access) const;
 
  private:
   struct PageState {
-    // Some event named the page. CheckAccess and OnMgrMigrate reject an
-    // untracked page.
+    // Some event named the page. CheckAccess rejects an untracked page.
     bool tracked = false;
     std::uint64_t version = 0;
     std::set<net::HostId> holders;           // hosts with a valid copy

@@ -36,13 +36,6 @@ System::System(sim::Runtime& rt, SystemConfig cfg,
                  static_cast<PageNum>(cfg.region_bytes / page_bytes_)) {
   MERMAID_CHECK(!host_profiles.empty());
   MERMAID_CHECK(cfg_.region_bytes % page_bytes_ == 0);
-  // Dynamic distributed managers move a page's serialization point with its
-  // writers; release consistency pins each page's diff home at its base
-  // placement. The combination is rejected, not silently ignored.
-  MERMAID_CHECK_MSG(
-      !(cfg_.release_consistency &&
-        cfg_.directory_mode == SystemConfig::DirectoryMode::kDynamic),
-      "directory_mode kDynamic is incompatible with release_consistency");
   // Under release consistency the legality rules change (multiple deferred
   // writers, reads through older-but-committed copies): the referee judges
   // with the relaxed rule set.
@@ -116,17 +109,7 @@ void System::Start() {
           const arch::TypeId type = r.U16();
           const std::uint32_t alloc_bytes = r.U32();
           if (!r.ok()) return;
-          // Dynamic directory: the entry may have migrated away; chase the
-          // forward pointer (reply duty moves with the request).
-          auto fwd = h->ApplyTypeSet(p, type, alloc_bytes);
-          if (fwd.has_value()) {
-            base::WireWriter w;
-            w.U32(p);
-            w.U16(type);
-            w.U32(alloc_bytes);
-            ctx.Forward(*fwd, std::move(w).Take());
-            return;
-          }
+          h->ApplyTypeSet(p, type, alloc_bytes);
           ctx.Reply({});
         });
   }
@@ -145,12 +128,11 @@ void System::AllocWorker() {
     // Push authoritative type/extent to each touched page's manager before
     // publishing the address (so grants always carry current extents).
     for (PageNum p : result->touched_pages) {
-      net::HostId mgr = placement_.BaseManagerOf(p);
+      const net::HostId mgr = placement_.BaseManagerOf(p);
       const std::uint32_t alloc_bytes = allocator_->AllocBytesOfPage(p);
       if (mgr == 0) {
-        auto fwd = h0.ApplyTypeSet(p, req->type, alloc_bytes);
-        if (!fwd.has_value()) continue;
-        mgr = *fwd;  // migrated away: push to the live entry remotely
+        h0.ApplyTypeSet(p, req->type, alloc_bytes);
+        continue;
       }
       base::WireWriter w;
       w.U32(p);

@@ -133,30 +133,13 @@ struct SystemConfig {
   //           N x directory_shards_per_host virtual manager shards, so
   //           stride-aliased page sets no longer melt one host and a crash
   //           loses only that host's shards.
-  // kDynamic: sharded base map plus Li-style dynamic distributed managers —
-  //           management migrates toward the last (or dominant) writer via
-  //           a kOpMgrMigrate handshake; old managers keep a forward pointer
-  //           and requesters learn migrated locations from grant replies.
-  //           Incompatible with release_consistency (RC homes are fixed).
   enum class DirectoryMode : std::uint8_t {
     kFixed = 0,
     kSharded = 1,
-    kDynamic = 2,
   };
   DirectoryMode directory_mode = DirectoryMode::kFixed;
-  // Virtual shards per host on the consistent-hash ring (kSharded/kDynamic).
+  // Virtual shards per host on the consistent-hash ring (kSharded).
   std::uint32_t directory_shards_per_host = 8;
-  // kDynamic only: with hot_page_migration off, management follows every
-  // remote writer (pure Li dynamic managers). With it on, a per-entry
-  // Boyer–Moore majority vote over committing writers must reach
-  // hot_page_threshold before the page's management migrates — only
-  // genuinely contended pages with a dominant writer move.
-  bool hot_page_migration = false;
-  int hot_page_threshold = 16;
-  // Bound on the manager-forwarding chain a single request may ride
-  // (kDynamic): past it the forwarder answers with a redirect instead, and
-  // the requester re-routes from its learned location.
-  int directory_forward_limit = 8;
 };
 
 // Protocol opcodes (one Endpoint per host, shared with the sync module).
@@ -174,7 +157,7 @@ inline constexpr std::uint8_t kOpConfirmProbe = 7;  // manager -> requester
 inline constexpr std::uint8_t kOpGrantReject = 8;   // requester -> manager
 inline constexpr std::uint8_t kOpGrantExtend = 9;   // requester -> manager
 inline constexpr std::uint8_t kOpSync = 10;       // sync client -> sync server
-// 11-15 are unassigned: the numbering below stays fixed so wire images (and
+// 11-15 and 20 are unassigned: the numbering stays fixed so wire images (and
 // the central server's kOpMax-relative opcodes) do not move. A message that
 // arrives with an unassigned opcode is counted and dropped by the endpoint.
 
@@ -193,12 +176,10 @@ inline constexpr std::uint8_t kOpRecoveryDemote = 18; // manager -> holder (noti
 // twin-vs-page byte-range diffs to the page's home for application to the
 // master copy.
 inline constexpr std::uint8_t kOpDiffFlush = 19;      // writer -> home
-// Dynamic-directory manager migration (only sent when
-// SystemConfig::directory_mode is kDynamic): the current manager offers a
-// page's management to the last/dominant writer, which adopts it or rejects.
-inline constexpr std::uint8_t kOpMgrMigrate = 20;     // manager -> new manager
-// Highest opcode, for per-class stats iteration.
-inline constexpr std::uint8_t kOpMax = kOpMgrMigrate;
+// Highest opcode number, for per-class stats iteration. A literal, not the
+// last assigned opcode: the central backend's opcodes are kOpMax + 1 and
+// kOpMax + 2, and their wire values must not move.
+inline constexpr std::uint8_t kOpMax = 20;
 
 // Role byte inside kOpReadReq/kOpWriteReq bodies: the same opcode serves
 // the requester->manager leg and the forwarded manager->owner leg. Any other
@@ -224,7 +205,6 @@ inline const char* OpName(std::uint8_t op) {
     case kOpPageLost: return "page_lost";
     case kOpRecoveryDemote: return "recovery_demote";
     case kOpDiffFlush: return "diff_flush";
-    case kOpMgrMigrate: return "mgr_migrate";
     default: return "other";
   }
 }

@@ -168,8 +168,7 @@ std::uint32_t Endpoint::PeerIncarnation(HostId peer) const {
   return it == peer_inc_.end() ? 0 : it->second;
 }
 
-bool Endpoint::FencePeerIncLocked(HostId peer, std::uint32_t inc,
-                                  bool* reincarnated) {
+bool Endpoint::FencePeerIncLocked(HostId peer, std::uint32_t inc) {
   std::uint32_t& known = peer_inc_[peer];
   if (inc < known) {
     stats_.Inc(kFencedStaleInc);
@@ -177,7 +176,6 @@ bool Endpoint::FencePeerIncLocked(HostId peer, std::uint32_t inc,
   }
   if (inc > known) {
     known = inc;
-    if (reincarnated != nullptr) *reincarnated = true;
     // The peer's previous life's dedup entries describe requests that its
     // new life has no memory of issuing; replaying their cached replies to
     // the reincarnated peer would resurrect pre-crash protocol state.
@@ -243,8 +241,6 @@ void Endpoint::RxLoop() {
         }
         sim::Chan<ReplyMsg> target;
         bool have_target = false;
-        bool bumped = false;
-        std::uint32_t sender_inc = 0;
         {
           std::lock_guard<std::mutex> lk(maps_mu_);
           bool dropped = false;
@@ -255,11 +251,11 @@ void Endpoint::RxLoop() {
             base::WireReader rr(head.span());
             rr.U8();
             rr.U64();
-            sender_inc = rr.U32();
+            const std::uint32_t sender_inc = rr.U32();
             if (!rr.ok()) {
               stats_.Inc(kMalformed);
               dropped = true;
-            } else if (FencePeerIncLocked(msg->src, sender_inc, &bumped)) {
+            } else if (FencePeerIncLocked(msg->src, sender_inc)) {
               dropped = true;
             }
           }
@@ -272,9 +268,6 @@ void Endpoint::RxLoop() {
               have_target = true;
             }
           }
-        }
-        if (bumped && peer_inc_observer_) {
-          peer_inc_observer_(msg->src, sender_inc);
         }
         if (!have_target) break;
         ReplyMsg reply;
@@ -307,17 +300,11 @@ void Endpoint::DispatchRequest(Message msg) {
     return;
   }
   if (cfg_.carry_incarnation) {
-    bool fenced = false;
-    bool bumped = false;
-    {
-      std::lock_guard<std::mutex> lk(maps_mu_);
-      // Requests from a previous life of the origin (zombie retransmissions,
-      // packets delayed across its crash) must not reach handlers: the new
-      // life has no record of them and their effects would be stale.
-      fenced = FencePeerIncLocked(origin, origin_inc, &bumped);
-    }
-    if (bumped && peer_inc_observer_) peer_inc_observer_(origin, origin_inc);
-    if (fenced) return;
+    std::lock_guard<std::mutex> lk(maps_mu_);
+    // Requests from a previous life of the origin (zombie retransmissions,
+    // packets delayed across its crash) must not reach handlers: the new
+    // life has no record of them and their effects would be stale.
+    if (FencePeerIncLocked(origin, origin_inc)) return;
   }
 
   if (type == WireType::kRequest) {

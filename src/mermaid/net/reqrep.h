@@ -231,17 +231,6 @@ class Endpoint {
   // hop and wire-byte reductions per message kind. Call before Start.
   void SetOpNamer(const char* (*namer)(std::uint8_t)) { op_namer_ = namer; }
 
-  // Observer for peer reincarnations: invoked (from the rx daemon, outside
-  // the endpoint's locks) whenever incoming traffic reveals a peer
-  // incarnation newer than previously known — i.e. the peer crash-restarted
-  // with amnesia. Protocol layers use it to drop advisory state about the
-  // peer's previous life (e.g. learned manager locations). Call before Start;
-  // the callback must not block.
-  void SetPeerIncObserver(
-      std::function<void(HostId, std::uint32_t)> observer) {
-    peer_inc_observer_ = std::move(observer);
-  }
-
  private:
   friend class RequestContext;
 
@@ -290,11 +279,8 @@ class Endpoint {
   // Records `inc` as peer's latest incarnation; returns true when `inc` is
   // older than what we already know (the message must be fenced). A newer
   // incarnation purges the peer's dedup entries (its new life restarts
-  // req-id-independent state) and sets *reincarnated so the caller can
-  // invoke peer_inc_observer_ after releasing maps_mu_. Caller must hold
-  // maps_mu_.
-  bool FencePeerIncLocked(HostId peer, std::uint32_t inc,
-                          bool* reincarnated = nullptr);
+  // req-id-independent state). Caller must hold maps_mu_.
+  bool FencePeerIncLocked(HostId peer, std::uint32_t inc);
   // Per-message-class transmit accounting (no-op name fallback "op<N>"
   // when no namer is installed). `wire_bytes` is the full payload size
   // including the request/reply framing.
@@ -333,7 +319,6 @@ class Endpoint {
   base::StatsRegistry stats_;
   trace::Tracer* tracer_ = nullptr;
   const char* (*op_namer_)(std::uint8_t) = nullptr;
-  std::function<void(HostId, std::uint32_t)> peer_inc_observer_;
   bool started_ = false;
 };
 

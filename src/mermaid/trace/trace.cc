@@ -41,7 +41,6 @@ const char* KindName(EventKind k) {
     case EventKind::kTwinCreate: return "TwinCreate";
     case EventKind::kDiffFlush: return "DiffFlush";
     case EventKind::kWriteNotice: return "WriteNotice";
-    case EventKind::kMgrMigrate: return "MgrMigrate";
   }
   return "Unknown";
 }

@@ -80,10 +80,6 @@ enum class EventKind : std::uint8_t {
   kTwinCreate,           // a0 = twin base version, a1 = home-dirty flag
   kDiffFlush,            // op = flush seq; a0 = diff bytes, a1 = range count
   kWriteNotice,          // a0 = noticed version, a1 = originating writer
-  // Dynamic directory (SystemConfig::directory_mode == kDynamic): one event
-  // on each side of a completed kOpMgrMigrate handshake, linked through
-  // MgrMigrateKey (the adopting side binds, the source links back).
-  kMgrMigrate,           // a0 = peer host, a1 = side (0 source, 1 target)
 };
 
 const char* KindName(EventKind k);
@@ -131,12 +127,6 @@ inline CausalKey RcTwinKey(std::uint16_t host, std::uint32_t page) {
 // kDiffFlush here and every acquirer's kWriteNotice links back through it.
 inline CausalKey RcNoticeKey(std::uint32_t page) {
   return {(7ull << 32) | page, 0};
-}
-// The latest completed manager migration for a page: the adopting manager
-// binds its kMgrMigrate here; the source's event (and any later migration of
-// the same page) links back through it, chaining a page's managers.
-inline CausalKey MgrMigrateKey(std::uint32_t page) {
-  return {(8ull << 32) | page, 0};
 }
 
 class Tracer {

@@ -1,7 +1,6 @@
 // Unit tests of DSM internals: page-table role assignment, the coherence
 // referee's violation detection, and host-level protocol robustness against
 // malformed traffic.
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,11 +18,10 @@ namespace {
 TEST(Directory, FixedDistributedManagerAssignment) {
   SystemConfig cfg;  // directory_mode defaults to kFixed: the paper's p % N
   const Placement placement(cfg, /*num_hosts=*/3, /*num_pages=*/10);
-  Directory dir(cfg, /*self=*/1, placement);
+  Directory dir(/*self=*/1, placement);
   for (PageNum p = 0; p < 10; ++p) {
     EXPECT_EQ(dir.BaseManagerOf(p), p % 3);
     EXPECT_EQ(dir.BaseManagedHere(p), p % 3 == 1);
-    EXPECT_EQ(dir.ManagedHere(p), p % 3 == 1);
   }
   // Local copies start unknown; the Host constructor seeds the manager's
   // initial read copies, not the bare table.
@@ -41,103 +39,28 @@ TEST(Directory, FixedDistributedManagerAssignment) {
 TEST(Directory, ForEachManagedVisitsExactlyOwnPages) {
   SystemConfig cfg;
   const Placement placement(cfg, /*num_hosts=*/4, /*num_pages=*/11);
-  Directory dir(cfg, /*self=*/2, placement);
+  Directory dir(/*self=*/2, placement);
   std::vector<PageNum> visited;
-  dir.ForEachManaged([&](PageNum p, ManagerEntry&) { visited.push_back(p); });
+  dir.ForEachManaged([&](PageNum p, ManagerEntry& m) {
+    visited.push_back(p);
+    EXPECT_EQ(&dir.Manager(p), &m) << "page " << p;
+  });
   EXPECT_EQ(visited, (std::vector<PageNum>{2, 6, 10}));
-}
 
-// Under kDynamic a directory holds its base-managed entries plus entries it
-// adopted for other hosts' pages. Every view must agree on the union, in
-// ascending page order, through erase/re-adopt of a base page and a crash
-// wipe.
-TEST(Directory, ForEachManagedMergesAdoptedInPageOrder) {
-  SystemConfig cfg;
-  cfg.directory_mode = SystemConfig::DirectoryMode::kDynamic;
-  constexpr PageNum kPages = 64;
-  constexpr net::HostId kSelf = 1;
-  const Placement placement(cfg, /*num_hosts=*/4, kPages);
-  Directory dir(cfg, kSelf, placement);
-  const std::vector<PageNum> base(placement.PagesOf(kSelf).begin(),
-                                  placement.PagesOf(kSelf).end());
-  ASSERT_GE(base.size(), 3u);
-
-  // Every third foreign page, so adopted pages fall below, between and
-  // above the base pages.
-  std::set<PageNum> expected(base.begin(), base.end());
-  for (PageNum p = 0; p < kPages; ++p) {
-    if (placement.BaseManagerOf(p) == kSelf || p % 3 != 0) continue;
-    ManagerEntry& m = dir.AdoptManager(p);
-    m.owner = 3;
-    m.version = p;
-    expected.insert(p);
-  }
-  ASSERT_LT(*expected.begin(), base.front());
-  ASSERT_GT(*expected.rbegin(), base.back());
-
-  const auto check_views = [&](const std::set<PageNum>& want) {
-    const std::vector<PageNum> want_v(want.begin(), want.end());
-    std::vector<PageNum> visited;
-    dir.ForEachManaged([&](PageNum p, ManagerEntry& m) {
-      visited.push_back(p);
-      EXPECT_EQ(dir.FindManager(p), &m) << "page " << p;
-    });
-    EXPECT_EQ(visited, want_v);
-    EXPECT_EQ(dir.ManagedPages(), want_v);
-    for (PageNum p = 0; p < kPages; ++p) {
-      const bool managed = want.count(p) != 0;
-      EXPECT_EQ(dir.ManagedHere(p), managed) << "page " << p;
-      EXPECT_EQ(dir.FindManager(p) != nullptr, managed) << "page " << p;
-    }
-  };
-  check_views(expected);
-  for (PageNum p : expected) {
-    if (placement.BaseManagerOf(p) != kSelf) {
-      EXPECT_EQ(dir.Manager(p).owner, 3);
-      EXPECT_EQ(dir.Manager(p).version, p);
-    }
-  }
-
-  // A base page migrates away mid-transfer, then management comes back:
-  // the re-adopted entry starts fresh.
-  const PageNum b = base[1];
-  ManagerEntry& old = dir.Manager(b);
-  EXPECT_EQ(old.owner, kSelf);
-  old.owner = 2;
-  old.copyset = {2, 3};
-  old.version = 9;
-  old.busy = true;
-  old.busy_op_id = 77;
-  old.busy_requester = 2;
-  old.migrating = true;
-  old.hot_score = 5;
-  dir.EraseManager(b);
-  expected.erase(b);
-  check_views(expected);
-
-  ManagerEntry& fresh = dir.AdoptManager(b);
-  expected.insert(b);
-  check_views(expected);
-  EXPECT_EQ(fresh.owner, 0);
-  EXPECT_TRUE(fresh.copyset.empty());
-  EXPECT_EQ(fresh.version, 0u);
-  EXPECT_FALSE(fresh.busy);
-  EXPECT_EQ(fresh.busy_op_id, 0u);
-  EXPECT_FALSE(fresh.migrating);
-  EXPECT_EQ(fresh.hot_score, 0);
-  EXPECT_TRUE(fresh.pending.empty());
-
-  // A crash forgets adopted entries and returns every base entry to the
-  // default (unknown) state.
-  dir.Manager(base[0]).busy = true;
+  // A crash wipe keeps the same pages but returns every entry to the
+  // default (unknown) state that recovery rebuilds from.
+  dir.Manager(6).busy = true;
+  dir.Manager(6).version = 3;
   dir.WipeForCrash();
-  check_views(std::set<PageNum>(base.begin(), base.end()));
-  dir.ForEachManaged([&](PageNum, ManagerEntry& m) {
+  visited.clear();
+  dir.ForEachManaged([&](PageNum p, ManagerEntry& m) {
+    visited.push_back(p);
     EXPECT_EQ(m.owner, 0);
     EXPECT_TRUE(m.copyset.empty());
     EXPECT_FALSE(m.busy);
     EXPECT_EQ(m.version, 0u);
   });
+  EXPECT_EQ(visited, (std::vector<PageNum>{2, 6, 10}));
 }
 
 TEST(Referee, AcceptsLegalSequence) {
@@ -380,6 +303,50 @@ TEST(Robustness, UnknownTransferRoleIsDropped) {
   }
   EXPECT_EQ(sys.host(0).ManagerGrantsTotal(), 0u);
   EXPECT_EQ(sys.host(0).stats().Count("dsm.malformed"), 4);
+}
+
+// Opcodes 11-15 and 20 are unassigned. A request carrying one must reach no
+// handler: the endpoint counts it and drops it without a reply, and the
+// host keeps serving the protocol.
+TEST(Robustness, UnassignedOpcodesAreDropped) {
+  sim::Engine eng;
+  SystemConfig cfg;
+  cfg.region_bytes = 64 * 1024;
+  System sys(eng, cfg, {&arch::FireflyProfile(), &arch::FireflyProfile()});
+  sys.Start();
+
+  std::vector<net::CallStatus> statuses;
+  GlobalAddr addr = 0;
+  std::int32_t seen = 0;
+  sys.SpawnThread(1, "rogue-then-app", [&](Host& h) {
+    for (const std::uint8_t op : {11, 12, 13, 14, 15, 20}) {
+      base::WireWriter w;
+      w.U32(0);  // page 0, managed by host 0
+      net::Endpoint::CallOpts opts;
+      opts.timeout = Milliseconds(100);
+      opts.max_attempts = 1;
+      statuses.push_back(h.endpoint()
+                             .CallWithStatus(0, op, std::move(w).Take(),
+                                             net::MsgKind::kControl, opts)
+                             .status);
+    }
+    addr = sys.Alloc(1, arch::TypeRegistry::kInt, 16);
+    h.Write<std::int32_t>(addr, 2020);
+    sys.sync(1).EventSet(1);
+  });
+  sys.SpawnThread(0, "reader", [&](Host& h) {
+    sys.sync(0).EventWait(1);
+    seen = h.Read<std::int32_t>(addr);
+  });
+  eng.Run();
+  ASSERT_EQ(statuses.size(), 6u);
+  for (const net::CallStatus s : statuses) {
+    EXPECT_EQ(s, net::CallStatus::kTimedOut)
+        << "an unassigned opcode got a reply";
+  }
+  EXPECT_EQ(sys.host(0).endpoint().stats().Count("reqrep.unhandled_ops"), 6);
+  EXPECT_EQ(sys.host(0).stats().Count("dsm.malformed"), 0);
+  EXPECT_EQ(seen, 2020);
 }
 
 // Region-boundary behavior: a fault group near the end of the region stops

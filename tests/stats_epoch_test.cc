@@ -369,7 +369,7 @@ const char* const kPinnedReport =
     "hist dsm.fault_hops         n=4 mean=1.50 p50=2.00 p90=2.00 p99=2.00 max=2.00\n"
     "hist dsm.vm_fault_hops      n=4 mean=1.50 p50=2.00 p90=2.00 p99=2.00 max=2.00\n"
     "hist dsm.vm_fault_rtts      n=4 mean=0.75 p50=1.00 p90=1.00 p99=1.00 max=1.00\n"
-    "engine: switches=71 fast_resumes=33 procs=9 chans_live=5 chans_created=17\n";
+    "engine: switches=71 fast_resumes=33 procs=9 chans_live=3 chans_created=15\n";
 
 // The whole reporting surface of one small deterministic run, pinned as
 // literal text: every counter, distribution and histogram name and value
