@@ -104,7 +104,7 @@ Host::Host(sim::Runtime& rt, net::Network& net, const SystemConfig& cfg,
                   c.carry_incarnation = cfg.crash_recovery;
                   return c;
                 }()),
-      mem_(cfg.region_bytes, 0),
+      mem_(cfg.region_bytes),
       ptable_(placement.num_pages()),
       dir_(self, placement),
       cpu_busy_until_(profile->cpu_count, 0) {
@@ -1036,7 +1036,11 @@ void Host::ManagerCommit(PageNum p, std::uint64_t op_id,
       stats_.Inc(kStaleConfirms);
       return;  // duplicate confirm of an already-committed transfer
     }
-    MERMAID_CHECK(m.busy_requester == requester);
+    if (m.busy_requester != requester) {
+      // The grant went to another host: this confirm cannot commit it.
+      stats_.Inc(kMalformed);
+      return;
+    }
     if (is_write) {
       m.owner = requester;
       m.copyset.clear();
@@ -1349,7 +1353,10 @@ void Host::HandleConfirm(net::RequestContext ctx) {
   const std::uint64_t op_id = r.U64();
   const net::HostId requester = r.U16();
   const bool is_write = r.U8() != 0;
-  if (!r.ok() || p >= ptable_.num_pages() || !dir_.BaseManagedHere(p)) {
+  // Only the requester confirms its own transfer, so a confirm naming
+  // another host is a lie.
+  if (!r.ok() || requester != ctx.origin() || p >= ptable_.num_pages() ||
+      !dir_.BaseManagedHere(p)) {
     stats_.Inc(kMalformed);
     return;
   }
@@ -2140,7 +2147,7 @@ void Host::CrashWipe() {
     ptable_.WipeForCrash();
     dir_.WipeForCrash();
     busy_watch_.clear();
-    std::fill(mem_.begin(), mem_.end(), 0);
+    mem_.Wipe();
     for (auto& [p, chans] : fault_waiters_) {
       for (auto& c : chans) waiters.push_back(std::move(c));
     }

@@ -40,6 +40,7 @@
 #include "mermaid/arch/type_registry.h"
 #include "mermaid/base/buffer.h"
 #include "mermaid/base/stats.h"
+#include "mermaid/base/zero_mapping.h"
 #include "mermaid/dsm/directory.h"
 #include "mermaid/dsm/page_table.h"
 #include "mermaid/dsm/referee.h"
@@ -449,7 +450,11 @@ class Host {
 
   // Guards everything below; never held across a blocking operation.
   std::mutex state_mu_;
-  std::vector<std::uint8_t> mem_;  // representation-faithful memory image
+  // Representation-faithful memory image of the whole region. Only the OS
+  // pages this host has written hold frames. Its address never changes, a
+  // crash wipe included: CompleteTransfer converts in place in it, and the
+  // owner's serve copy reads it, outside state_mu_.
+  base::ZeroMapping mem_;
   PageTable ptable_;
   Directory dir_;  // manager placement + this host's manager entries
   // Lifetime grants in the manager role; plain member (not a stats key) so

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <list>
 #include <optional>
 #include <set>
 #include <vector>
@@ -21,20 +21,22 @@
 
 namespace mermaid::dsm {
 
-// This host's view of one DSM page.
+// This host's view of one DSM page. Every host keeps one per page of the
+// region, so the fields are packed into 16 bytes.
 struct LocalPageEntry {
-  Access access = Access::kNone;
-  bool owned = false;
   std::uint64_t version = 0;
-  arch::TypeId type = arch::TypeRegistry::kChar;
   std::uint32_t alloc_bytes = 0;  // allocated extent (partial transfer)
+  arch::TypeId type = arch::TypeRegistry::kChar;
+  Access access = Access::kNone;
+  bool owned : 1 = false;
   // Set when this host relinquished the page in a write transfer that has
   // not been confirmed: the bytes in memory are still the pre-transfer image
   // at `version`, legal to serve again if the manager revokes that grant and
   // names this host as the data source once more. Cleared by any install,
   // upgrade, or invalidation.
-  bool retained = false;
+  bool retained : 1 = false;
 };
+static_assert(sizeof(LocalPageEntry) == 16);
 
 // A transfer request waiting its turn at the manager: either a remote
 // request (reply via the protocol) or a fault by a thread on the manager
@@ -78,7 +80,9 @@ struct ManagerEntry {
   bool busy_is_write = false;
   std::uint64_t busy_new_version = 0;
   SimTime busy_since = 0;
-  std::deque<PendingTransfer> pending;
+  // FIFO of waiting transfers. A list allocates nothing while empty, and
+  // nearly every entry's queue stays empty.
+  std::list<PendingTransfer> pending;
 };
 
 class PageTable {

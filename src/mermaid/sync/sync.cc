@@ -21,6 +21,7 @@ const base::StatKey kRcNoticeLogTruncated("sync.rc_notice_log_truncated");
 const base::StatKey kRcNoticesRecorded("sync.rc_notices_recorded");
 const base::StatKey kDeadWaitersDropped("sync.dead_waiters_dropped");
 const base::StatKey kBrokenLocks("sync.broken_locks");
+const base::StatKey kMalformed("sync.malformed");
 
 }  // namespace
 
@@ -104,6 +105,10 @@ void SyncServer::Handle(net::RequestContext ctx) {
   const SyncId id = r.U64();
   const std::int64_t arg = r.I64();
   if (!r.ok()) return;
+  if (subop < kSemInit || subop > kBarrier) {
+    stats_.Inc(kMalformed);  // no reply: the caller times out
+    return;
+  }
 
   Waiter self;
   self.origin = ctx.origin();

@@ -349,6 +349,129 @@ TEST(Robustness, UnassignedOpcodesAreDropped) {
   EXPECT_EQ(seen, 2020);
 }
 
+// A confirm commits only the grant of the host that sends it. While host
+// 1's write fault holds page 0's grant (its invalidation of host 2's copy
+// waits on a dropped ack), host 3 confirms op ids 1-4 three times over:
+// naming host 2, a lie about the sender; naming itself, which matches the
+// sender but not the grant; and naming host 1, the real requester, a lie
+// that would commit the grant before host 1 is done. Each must be dropped,
+// and the write must still complete.
+TEST(Robustness, ConfirmNamingAnotherRequesterIsDropped) {
+  sim::Engine eng;
+  SystemConfig cfg;
+  cfg.region_bytes = 64 * 1024;
+  System sys(eng, cfg,
+             {&arch::FireflyProfile(), &arch::FireflyProfile(),
+              &arch::FireflyProfile(), &arch::FireflyProfile()});
+  net::FaultPlan plan;
+  net::FaultPlan::DropRule ack;  // copy holder 2 -> writer 1
+  ack.src = 2;
+  ack.dst = 1;
+  ack.until = Seconds(5);
+  plan.drops.push_back(ack);
+  sys.network().SetFaultPlan(plan);
+  sys.Start();
+
+  GlobalAddr addr = 0, later = 0;
+  std::uint64_t busy_when_sent = 0;
+  std::int32_t seen_by_2 = 0, seen_after = 0, seen_later = 0;
+  sys.SpawnThread(0, "allocator", [&](Host& h) {
+    addr = sys.Alloc(0, arch::TypeRegistry::kInt, 16);  // page 0, host 0's
+    h.Write<std::int32_t>(addr, 1);
+    sys.sync(0).EventSet(1);
+    sys.sync(0).EventWait(4);
+    seen_later = h.Read<std::int32_t>(later);
+  });
+  sys.SpawnThread(2, "reader", [&](Host& h) {
+    sys.sync(2).EventWait(1);
+    seen_by_2 = h.Read<std::int32_t>(addr);
+    sys.sync(2).EventSet(2);
+  });
+  sys.SpawnThread(1, "writer", [&](Host& h) {
+    sys.sync(1).EventWait(2);
+    h.Write<std::int32_t>(addr, 2);
+    sys.sync(1).EventSet(3);
+  });
+  sys.SpawnThread(3, "rogue-then-app", [&](Host& h) {
+    sys.sync(3).EventWait(2);
+    std::uint64_t busy = 0, pending = 0;
+    while (busy == 0) {
+      h.runtime().Delay(Milliseconds(1));
+      sys.host(0).CountManagerLoad(&busy, &pending);
+    }
+    busy_when_sent = busy;
+    for (const net::HostId named : {2, 3, 1}) {
+      for (std::uint64_t op_id = 1; op_id <= 4; ++op_id) {
+        base::WireWriter w;
+        w.U32(0);  // page 0
+        w.U64(op_id);
+        w.U16(named);
+        w.U8(1);  // is_write
+        h.endpoint().Notify(0, kOpConfirm, std::move(w).Take());
+      }
+    }
+    sys.sync(3).EventWait(3);
+    seen_after = h.Read<std::int32_t>(addr);
+    later = sys.Alloc(3, arch::TypeRegistry::kInt, 16);
+    h.Write<std::int32_t>(later, 3030);
+    sys.sync(3).EventSet(4);
+  });
+  eng.Run();
+  EXPECT_EQ(busy_when_sent, 1u);
+  EXPECT_EQ(seen_by_2, 1);
+  EXPECT_EQ(seen_after, 2);
+  EXPECT_EQ(seen_later, 3030);
+  // 8 lies about the sender, plus host 3's own-id confirm of the busy op.
+  EXPECT_EQ(sys.host(0).stats().Count("dsm.malformed"), 9);
+  // Host 3's own-id confirms of the three idle op ids are merely stale.
+  EXPECT_EQ(sys.host(0).stats().Count("dsm.stale_confirms"), 3);
+  std::uint64_t busy = 0, pending = 0;
+  for (net::HostId i = 0; i < 4; ++i) {
+    sys.host(i).CountManagerLoad(&busy, &pending);
+  }
+  EXPECT_EQ(busy, 0u);
+}
+
+// Sync requests carry subops 1-7 (SemInit .. Barrier). One with a subop
+// outside that range, just below or just above it, must be counted and
+// dropped without a reply, and the sync server must keep working.
+TEST(Robustness, UnknownSyncSubopIsDropped) {
+  sim::Engine eng;
+  SystemConfig cfg;
+  cfg.region_bytes = 64 * 1024;
+  System sys(eng, cfg, {&arch::FireflyProfile(), &arch::FireflyProfile()});
+  sys.Start();
+
+  std::vector<net::CallStatus> statuses;
+  bool sem_round_trip = false;
+  sys.SpawnThread(1, "rogue-then-app", [&](Host& h) {
+    for (const std::uint8_t subop : {0, 8}) {
+      base::WireWriter w;
+      w.U8(subop);
+      w.U64(7);  // sync id
+      w.I64(0);  // arg
+      net::Endpoint::CallOpts opts;
+      opts.timeout = Milliseconds(100);
+      opts.max_attempts = 1;
+      statuses.push_back(h.endpoint()
+                             .CallWithStatus(0, kOpSync, std::move(w).Take(),
+                                             net::MsgKind::kControl, opts)
+                             .status);
+    }
+    sys.sync(1).SemInit(7, 0);
+    sys.sync(1).V(7);
+    sys.sync(1).P(7);
+    sem_round_trip = true;
+  });
+  eng.Run();
+  ASSERT_EQ(statuses.size(), 2u);
+  for (const net::CallStatus s : statuses) {
+    EXPECT_EQ(s, net::CallStatus::kTimedOut) << "a bad subop got a reply";
+  }
+  EXPECT_EQ(sys.GatherStats().Count("sync.malformed"), 2);
+  EXPECT_TRUE(sem_round_trip);
+}
+
 // Region-boundary behavior: a fault group near the end of the region stops
 // at the last page instead of running past it.
 TEST(Robustness, FaultGroupClampsAtRegionEnd) {

@@ -9,6 +9,10 @@
 // trace.json after every crash cycle, so the artifact of a failing run
 // shows the window that led up to the abort.
 //
+// A liveness watchdog fails the run (exit status 3) if virtual time runs
+// far past the soak's planned end: a process blocked for good leaves only
+// idle daemon ticks, which would otherwise advance the clock forever.
+//
 // Not a ctest: duration and seeds are driven by the workflow.
 //
 //   usage: mermaid_longchaos [seed] [sim-seconds]
@@ -17,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +36,20 @@ namespace {
 
 constexpr int kHosts = 4;
 constexpr int kCells = 16;  // one 1 KB page per cell -> every host manages some
+
+// How far past the crash controller's deadline virtual time may run before
+// the watchdog fails the run. After the deadline come the last crash cycle's
+// slack (< 1.5 s down + 3 s), each worker's in-flight access, the 5 s heal
+// margin, the convergence audit (16 reads on host 0, then 16 on each checker
+// in parallel) and the 10 s drain: 19.5 s of delays and 33 accesses in
+// sequence. An access that cannot finish aborts once the fault path spends
+// its retry budget: fault_retry_limit + 1 = 9 rounds, each waiting for at
+// most one call's 60 attempts (150 ms, then 300 ms doubling to the 4 s
+// cap, each retry stretched by up to 20% jitter: 269.55 s), with 7.15 s of
+// backoff between rounds, 2,433.1 s per access. 19.5 s + 33 x 2,433.1 s =
+// 80,311.8 s, rounded up. A hung soak's idle ticks cover that in a few
+// seconds of host time.
+constexpr SimDuration kLivenessMargin = Seconds(80'400);
 
 dsm::SystemConfig SoakConfig(std::uint64_t seed) {
   dsm::SystemConfig cfg;
@@ -71,6 +90,30 @@ void DumpTraceOnAbort(int) {
 
 int Run(std::uint64_t seed, double sim_seconds) {
   sim::Engine eng;
+  // The liveness watchdog learns the crash controller's deadline from the
+  // master. It is spawned before the System attaches its tracer, so the
+  // soak's protocol trace does not change.
+  sim::Chan<SimTime> deadline_chan(eng);
+  eng.Spawn(
+      "liveness-watchdog",
+      [&eng, deadline_chan, seed, sim_seconds]() mutable {
+        const std::optional<SimTime> deadline = deadline_chan.Recv();
+        if (!deadline.has_value()) return;  // shutdown
+        bool timed_out = false;
+        (void)deadline_chan.RecvUntil(*deadline + kLivenessMargin,
+                                      &timed_out);
+        if (!timed_out) return;  // the soak ended; shutdown woke us
+        std::fprintf(stderr,
+                     "FAIL: liveness: seed %llu, %.0f sim-s soak still "
+                     "running at %.0f sim-s (deadline + %.0f s margin); a "
+                     "process is blocked for good\n",
+                     static_cast<unsigned long long>(seed), sim_seconds,
+                     ToSeconds(eng.Now()), ToSeconds(kLivenessMargin));
+        if (g_sys != nullptr) DumpTrace(*g_sys);
+        std::fflush(nullptr);
+        std::_Exit(3);
+      },
+      /*daemon=*/true);
   dsm::System sys(eng, SoakConfig(seed),
                   {&arch::Sun3Profile(), &arch::FireflyProfile(),
                    &arch::FireflyProfile(), &arch::Sun3Profile()});
@@ -116,6 +159,7 @@ int Run(std::uint64_t seed, double sim_seconds) {
       const SimTime deadline =
           h.runtime().Now() +
           static_cast<SimDuration>(sim_seconds * 1e9);
+      deadline_chan.Send(deadline);
       while (h.runtime().Now() < deadline) {
         h.runtime().Delay(Seconds(1) +
                           static_cast<SimDuration>(
