@@ -7,9 +7,6 @@
 //      be wrong on a real system, which is the point of the mechanism.)
 //   B. Partial-page transfer on/off — the paper's allocated-extent
 //      optimization; measured in bytes moved for a sparse working set.
-//   C. Same-type source preference on/off — §2.3: "transferring a page from
-//      a host of the same type whenever possible"; measured in conversions
-//      avoided for read-shared data in a mixed Sun/Firefly cluster.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -80,58 +77,6 @@ void AblationPartialTransfer(benchutil::JsonReport& report) {
   }
 }
 
-void AblationSameTypeSource(benchutil::JsonReport& report) {
-  benchutil::PrintHeader(
-      "Ablation C: same-type source preference for read-shared pages "
-      "(1 Sun owner, 3 Sun + 3 Ffly readers)");
-  for (bool pref : {false, true}) {
-    sim::Engine eng;
-    dsm::SystemConfig cfg;
-    cfg.region_bytes = 1u << 20;
-    cfg.prefer_same_type_source = pref;
-    std::vector<const arch::ArchProfile*> hosts{&benchutil::Sun()};
-    for (int i = 0; i < 3; ++i) hosts.push_back(&benchutil::Sun());
-    for (int i = 0; i < 3; ++i) hosts.push_back(&benchutil::Ffly());
-    dsm::System sys(eng, cfg, hosts);
-    sys.Start();
-    sys.SpawnThread(0, "owner", [&](dsm::Host& h) {
-      dsm::GlobalAddr a = sys.Alloc(0, Reg::kInt, 16 * 2048);
-      std::vector<std::int32_t> fill(16 * 2048, 1);
-      h.WriteBlock<std::int32_t>(a, fill.data(), fill.size());
-      sys.sync(0).SemInit(1, 0);
-      sys.sync(0).EventSet(2);
-      // Readers replicate the data; Firefly readers last, so same-type
-      // copies exist when the preference can apply.
-      for (int r = 1; r <= 6; ++r) sys.sync(0).P(1);
-    });
-    for (int r = 1; r <= 6; ++r) {
-      sys.SpawnThread(r, "reader" + std::to_string(r), [&, r](dsm::Host& h) {
-        sys.sync(r).EventWait(2);
-        // Stagger: Suns first, then Fireflies.
-        h.Compute(r >= 4 ? 200000.0 : 1000.0);
-        std::vector<std::int32_t> buf(16 * 2048);
-        h.ReadBlock<std::int32_t>(0, buf.size(), buf.data());
-        sys.sync(r).V(1);
-      });
-    }
-    eng.Run();
-    std::int64_t conversions = 0, same_type = 0;
-    for (int i = 0; i < 7; ++i) {
-      conversions += sys.host(i).stats().Count("dsm.conversions");
-      same_type += sys.host(i).stats().Count("dsm.same_type_source");
-    }
-    std::printf(
-        "preference=%-5s conversions=%-4lld same-type grants=%lld\n",
-        pref ? "on" : "off", static_cast<long long>(conversions),
-        static_cast<long long>(same_type));
-    report.Add(std::string("sourcepref.") + (pref ? "on" : "off") +
-                   ".conversions",
-               conversions);
-  }
-  std::printf("(reads served from same-representation replicas skip "
-              "conversion entirely)\n");
-}
-
 }  // namespace
 }  // namespace mermaid
 
@@ -139,7 +84,6 @@ int main() {
   mermaid::benchutil::JsonReport report("ablation_hetero");
   mermaid::AblationConversion(report);
   mermaid::AblationPartialTransfer(report);
-  mermaid::AblationSameTypeSource(report);
   report.Write();
   return 0;
 }

@@ -147,9 +147,10 @@ void MpMatMul::Setup(const MpMatMulConfig& cfg, MpMatMulResult* out) {
       base::WireWriter w;
       w.U32(static_cast<std::uint32_t>(n));
       MarshalInts(w, b.data(), b.size());
-      auto ack = h.endpoint().Call(wh, kOpMpLoadB, std::move(w).Take(),
-                                   net::MsgKind::kData, MpCallOpts());
-      MERMAID_CHECK_MSG(ack.has_value(), "B distribution failed");
+      const net::CallResult ack =
+          h.endpoint().CallWithStatus(wh, kOpMpLoadB, std::move(w).Take(),
+                                      net::MsgKind::kData, MpCallOpts());
+      MERMAID_CHECK_MSG(ack.ok(), "B distribution failed");
     }
 
     // Work phase: one sender per thread so replies collect concurrently.
@@ -174,12 +175,12 @@ void MpMatMul::Setup(const MpMatMulConfig& cfg, MpMatMulResult* out) {
             w.U32(static_cast<std::uint32_t>(i1));
             MarshalInts(w, a.data() + static_cast<std::size_t>(i0) * n,
                         static_cast<std::size_t>(i1 - i0) * n);
-            auto reply = hh.endpoint().Call(wh, kOpMpWork,
-                                            std::move(w).Take(),
-                                            net::MsgKind::kData,
-                                            MpCallOpts());
-            MERMAID_CHECK_MSG(reply.has_value(), "work RPC failed");
-            base::WireReader r(*reply);
+            const net::CallResult reply = hh.endpoint().CallWithStatus(
+                wh, kOpMpWork, std::move(w).Take(), net::MsgKind::kData,
+                MpCallOpts());
+            MERMAID_CHECK_MSG(reply.ok(), "work RPC failed");
+            const base::Buffer body = reply.body.Flatten();
+            base::WireReader r(body.span());
             const int ri0 = static_cast<int>(r.U32());
             const int ri1 = static_cast<int>(r.U32());
             auto rows = UnmarshalInts(

@@ -28,9 +28,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -265,7 +268,7 @@ class Host {
   // must free the grant at the manager and refault with the truth.
   enum class TransferResult { kOk, kFenced, kRejected, kShutdown };
 
-  // --- fault path ---------------------------------------------------------
+  // --- fault path (fault.cc) -----------------------------------------------
   void EnsureAccess(PageNum p, Access needed);
   // One VM-level fault: acquires every DSM page of the enclosing VM page
   // that lacks `needed` access.
@@ -282,6 +285,10 @@ class Host {
   // Install + invalidate + (write-)grant; shared tail of both fault variants.
   TransferResult CompleteTransfer(PageNum p, bool is_write,
                                   const FetchReply& reply, std::uint32_t life);
+  // True when the transfer (p, op_id) that a fault round began in `life`
+  // must not be installed: this host crashed since (the round is a
+  // pre-crash zombie) or disowned the op. Caller holds state_mu_.
+  bool FencedLocked(PageNum p, std::uint64_t op_id, std::uint32_t life) const;
   // The locked write-finalize step (write access, version bump, referee
   // write grant). Caller must have completed the page's invalidations.
   // False when fenced by a crash (caller skips the confirm).
@@ -292,8 +299,25 @@ class Host {
   // this invalidation round).
   bool InvalidateCopies(PageNum p, const std::vector<net::HostId>& hosts,
                         std::uint64_t op_id, std::uint64_t parent_ev);
+  // The bounded retry loop of write invalidation and manager recovery:
+  // multicasts `body` under `op` until every host in `dsts` has answered,
+  // with FaultBackoff between rounds, aborting with `what` past
+  // fault_retry_limit rounds. Under crash recovery, hosts that are down are
+  // dropped first. Hooks (either may be empty): `sending(round, dsts)`
+  // before each multicast, `answered(host, body)` per answer. False on
+  // shutdown, or once this host has crashed since `life` (if given).
+  bool CallUntilAnswered(
+      std::vector<net::HostId> dsts, std::uint8_t op, const net::Body& body,
+      const char* what, std::optional<std::uint32_t> life,
+      const std::function<void(int, const std::vector<net::HostId>&)>&
+          sending,
+      const std::function<void(net::HostId, const base::BufferChain&)>&
+          answered);
+  // Capped exponential backoff before retry round `round` (>= 1); the
+  // per-Call retransmits already jitter, so rounds need no randomness.
+  static SimDuration FaultBackoff(int round);
 
-  // --- release consistency ------------------------------------------------
+  // --- release consistency (rc.cc) ----------------------------------------
   // Outcome of RcTwinPage: kOk = twin made (or home page marked dirty) and
   // write access granted locally; kNoCopy = the read copy vanished between
   // the read fault and the twin attempt (caller refaults); kCapacity = the
@@ -333,7 +357,7 @@ class Host {
   // and applies the ranges to the master copy.
   void HandleDiffFlush(net::RequestContext ctx);
 
-  // --- manager role -------------------------------------------------------
+  // --- manager role (manager.cc) -------------------------------------------
   ManagerGrant BuildGrantLocked(PageNum p, net::HostId requester,
                                 bool is_write, bool has_copy);
   // Makes `m` (page p's entry) busy with the transfer `op_id` and, for a
@@ -353,7 +377,7 @@ class Host {
   // path when its owner fetch times out.
   void ManagerRevoke(PageNum p, std::uint64_t op_id);
 
-  // --- crash-stop recovery ------------------------------------------------
+  // --- crash-stop recovery (recovery.cc) -----------------------------------
   // Crash-with-amnesia: resets the endpoint (new incarnation, zombie calls
   // fenced), wipes the page table, conversion cache, memory image, and
   // all fault-path bookkeeping, and marks the manager role as
@@ -373,21 +397,23 @@ class Host {
   // the caller is itself about to issue a transfer for this page.
   void HandlePageLostLocal(PageNum p, std::uint64_t op_id,
                            net::HostId dead_owner, bool drain = true);
+  // The lost-page policy's reinit (kReinitZero): this host becomes owner
+  // and sole holder of page p, zeroed, at version 0. Caller holds state_mu_.
+  void ReinitLostPageLocked(PageNum p, ManagerEntry& m);
 
-  // --- owner role ---------------------------------------------------------
-  // Serves a fetch against the local copy; fills reply fields that depend
-  // on the local state and attaches the data (pre-converted for the
-  // requester's representation class when the conversion cache is enabled).
-  // Caller provides grant info. State transitions happen under state_mu_;
-  // the page copy, codec work, and encode run outside it.
+  // --- owner role (manager.cc) ---------------------------------------------
+  // Serves the transfer `grant` against the local copy at `data_version`:
+  // fills the reply fields that depend on the local state and attaches the
+  // data when the requester holds no copy (pre-converted for its
+  // representation class when the conversion cache is enabled). State
+  // transitions happen under state_mu_; the page copy, codec work, and
+  // encode run outside it.
   net::Body EncodeServeReply(PageNum p, net::HostId requester, bool is_write,
-                             bool data_needed, std::uint64_t op_id,
-                             std::uint64_t data_version,
-                             std::uint64_t new_version, arch::TypeId type,
-                             std::uint32_t alloc_bytes,
-                             const std::vector<net::HostId>& to_invalidate);
+                             const ManagerGrant& grant,
+                             std::uint64_t data_version);
 
   // --- handlers (run in the endpoint's rx daemon; never block) ------------
+  // Manager and owner handlers (manager.cc).
   void HandleTransferReq(net::RequestContext ctx, bool is_write);
   void HandleOwnerFetch(net::RequestContext ctx, bool is_write);
   void HandleInvalidate(net::RequestContext ctx);
@@ -395,12 +421,12 @@ class Host {
   void HandleConfirmProbe(net::RequestContext ctx);
   void HandleGrantReject(net::RequestContext ctx);
   void HandleGrantExtend(net::RequestContext ctx);
-  // Crash-recovery handlers.
+  // Crash-recovery handlers (recovery.cc).
   void HandleRecoveryQuery(net::RequestContext ctx);
   void HandleRecoveryDemote(net::RequestContext ctx);
   void HandlePageLost(net::RequestContext ctx);
 
-  // --- helpers -------------------------------------------------------------
+  // --- data path: conversion, wire codecs, bounded FIFOs (data_path.cc) ---
   // Charges the receiver-side modeled conversion delay and stats for an
   // incoming page; runs the real codec (in place on `data`) only when
   // `run_codec` — when the owner already converted, only the calibrated
@@ -409,6 +435,14 @@ class Host {
   void ConvertIncoming(PageNum p, std::span<std::uint8_t> data,
                        arch::TypeId type, const arch::ArchProfile& from,
                        bool run_codec);
+  // Converts `extent` bytes of element slots in place from `from`'s
+  // representation to `to`'s; returns the lossy element conversions. Slots
+  // are the power-of-two stride the allocator lays elements out on; for
+  // basic types stride == size and non-power-of-two types simply convert at
+  // the slot stride — one bulk call either way.
+  std::int64_t ConvertSlots(arch::TypeId type, std::span<std::uint8_t> data,
+                            std::uint32_t extent, const arch::ArchProfile& from,
+                            const arch::ArchProfile& to) const;
   // Drops every conversion-cache entry for page p (counted as evictions).
   // Caller holds state_mu_.
   void DropConvertCacheLocked(PageNum p);
@@ -416,8 +450,15 @@ class Host {
   // Adds {p, op_id} to the fenced set (bounded FIFO) so a decoded-but-not-
   // installed grant is discarded instead of installed. Caller holds state_mu_.
   void FenceOpLocked(PageNum p, std::uint64_t op_id);
+  // The manager -> owner leg of a transfer (role kToOwner), carrying the
+  // grant; HandleOwnerFetch decodes it.
+  static net::Body EncodeOwnerFetch(PageNum p, const ManagerGrant& grant);
   net::Body EncodeFetchReply(const FetchReply& r) const;
-  FetchReply DecodeFetchReply(const base::BufferChain& body) const;
+  // Nullopt when `body` is not a fetch reply. Replies match their call on
+  // req_id alone, so any host on the wire can complete a pending call.
+  std::optional<FetchReply> DecodeFetchReply(
+      const base::BufferChain& body) const;
+  // Timeout and attempts of every DSM protocol call (SystemConfig).
   net::Endpoint::CallOpts DsmCallOpts() const;
 
   // Trace hook: records one protocol event on this host at the current sim

@@ -11,6 +11,9 @@ namespace mermaid::dsm {
 
 namespace {
 
+// Events the protocol trace ring keeps; older ones are evicted first.
+constexpr std::size_t kTraceCapacity = 1 << 16;
+
 std::uint32_t ResolvePageBytes(const SystemConfig& cfg,
                                const std::vector<const arch::ArchProfile*>&
                                    profiles) {
@@ -30,7 +33,7 @@ System::System(sim::Runtime& rt, SystemConfig cfg,
                std::vector<const arch::ArchProfile*> host_profiles)
     : rt_(rt),
       cfg_(cfg),
-      tracer_(std::make_unique<trace::Tracer>(cfg.trace_capacity)),
+      tracer_(std::make_unique<trace::Tracer>(kTraceCapacity)),
       page_bytes_(ResolvePageBytes(cfg, host_profiles)),
       placement_(cfg, static_cast<std::uint16_t>(host_profiles.size()),
                  static_cast<PageNum>(cfg.region_bytes / page_bytes_)) {
@@ -172,11 +175,12 @@ GlobalAddr System::Alloc(net::HostId h, arch::TypeId type,
   base::WireWriter w;
   w.U16(type);
   w.U64(count);
-  auto reply = hosts_[h]->endpoint().Call(0, kOpAlloc, std::move(w).Take(),
-                                          net::MsgKind::kControl,
-                                          hosts_[h]->DsmCallOpts());
-  MERMAID_CHECK_MSG(reply.has_value(), "allocation call failed");
-  base::WireReader r(*reply);
+  const net::CallResult reply = hosts_[h]->endpoint().CallWithStatus(
+      0, kOpAlloc, std::move(w).Take(), net::MsgKind::kControl,
+      hosts_[h]->DsmCallOpts());
+  MERMAID_CHECK_MSG(reply.ok(), "allocation call failed");
+  const base::Buffer body = reply.body.Flatten();
+  base::WireReader r(body.span());
   const GlobalAddr addr = r.U64();
   MERMAID_CHECK(r.ok());
   return addr;

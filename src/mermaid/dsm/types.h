@@ -57,15 +57,12 @@ struct SystemConfig {
 
   // Fault-path retry policy: a manager/owner Call that exhausts its
   // transport retries is retried this many whole rounds (with exponential
-  // backoff, capped) before the host aborts loudly.
+  // backoff from 50 ms, capped at 2 s) before the host aborts loudly.
   int fault_retry_limit = 8;
-  SimDuration fault_retry_backoff = Milliseconds(50);
 
   // Ablation switches (all default to the paper's system).
   bool convert_enabled = true;          // heterogeneous data conversion
   bool partial_page_transfer = true;    // move only the allocated extent
-  bool prefer_same_type_source = false; // serve read faults from a same-arch
-                                        // copyset member when possible
   // Owner-side conversion cache: converted outgoing page images are kept
   // keyed by (page, version, representation class) and reused for repeat
   // read faults on unmodified pages, skipping both the codec work and the
@@ -78,10 +75,9 @@ struct SystemConfig {
 
   // Structured protocol tracing (trace::Tracer). Off by default: with trace
   // false every hook reduces to a flag test, modeled times are identical,
-  // and no memory is spent beyond the (empty) ring. The capacity knob
-  // bounds the ring buffer; oldest events are evicted first.
+  // and no memory is spent beyond the (empty) ring. The ring holds the
+  // newest 65,536 events; oldest events are evicted first.
   bool trace = false;
-  std::size_t trace_capacity = 1 << 16;
 
   // --- crash-stop recovery (default OFF: knobs-off wire format and Table
   // 2/3/4 calibration are bit-identical; see DESIGN.md "Failure model") ---
@@ -113,16 +109,10 @@ struct SystemConfig {
   // sync operations (P / EventWait / Barrier) return the notices recorded
   // since the client last looked, and the acquirer lazily invalidates its
   // stale read copies. Writes between acquire and release are locally
-  // visible and remotely deferred.
+  // visible and remotely deferred. A host holds at most 128 twins (a write
+  // fault past the cap flushes them early), and a twin at least half dirty
+  // flushes as one whole-extent range.
   bool release_consistency = false;
-  // Twins held concurrently per host; a write fault past the cap flushes
-  // every existing twin first (an early release of the dirty data only —
-  // no sync notice is published until the next sync op).
-  std::size_t rc_max_twins = 128;
-  // When a twin's dirty bytes reach this percentage of the transferred
-  // extent, the flush sends one whole-extent range instead of per-run
-  // diffs (the range-header overhead would exceed the savings).
-  int rc_diff_crossover_pct = 50;
 
   // --- directory scale-out (default kFixed: the paper's p % N manager
   // mapping, Tables 2–4 bit-identical; see DESIGN.md "Directory

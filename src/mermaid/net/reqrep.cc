@@ -582,25 +582,6 @@ MultiCallResult Endpoint::MultiCallWithStatus(const std::vector<HostId>& dsts,
   return out;
 }
 
-std::optional<std::vector<std::uint8_t>> Endpoint::Call(
-    HostId dst, std::uint8_t op, Body body, MsgKind kind,
-    const CallOpts& opts) {
-  auto r = CallWithStatus(dst, op, std::move(body), kind, opts);
-  if (!r.ok()) return std::nullopt;
-  return r.body.ToVector();
-}
-
-std::optional<std::vector<std::vector<std::uint8_t>>> Endpoint::MultiCall(
-    const std::vector<HostId>& dsts, std::uint8_t op, Body body,
-    MsgKind kind, const CallOpts& opts) {
-  auto r = MultiCallWithStatus(dsts, op, std::move(body), kind, opts);
-  if (!r.ok()) return std::nullopt;
-  std::vector<std::vector<std::uint8_t>> out;
-  out.reserve(r.replies.size());
-  for (const auto& chain : r.replies) out.push_back(chain.ToVector());
-  return out;
-}
-
 void Endpoint::Notify(HostId dst, std::uint8_t op, Body body, MsgKind kind) {
   stats_.Inc(kNotifiesSent);
   std::uint32_t origin_inc = 0;

@@ -179,16 +179,6 @@ class Endpoint {
                                       MsgKind kind = MsgKind::kControl,
                                       const CallOpts& opts = {});
 
-  // Legacy conveniences: nullopt on any failure (timeout or shutdown
-  // indistinguishably). Prefer the WithStatus variants on protocol paths
-  // that must react to faults.
-  std::optional<std::vector<std::uint8_t>> Call(
-      HostId dst, std::uint8_t op, Body body,
-      MsgKind kind = MsgKind::kControl, const CallOpts& opts = {});
-  std::optional<std::vector<std::vector<std::uint8_t>>> MultiCall(
-      const std::vector<HostId>& dsts, std::uint8_t op, Body body,
-      MsgKind kind = MsgKind::kControl, const CallOpts& opts = {});
-
   // One-way message; at-most-once, no retransmission.
   void Notify(HostId dst, std::uint8_t op, Body body,
               MsgKind kind = MsgKind::kControl);

@@ -23,7 +23,7 @@
 // lock, no allocation, and no simulated delay — modeled times are bit-for-bit
 // identical with tracing on or off, because the Tracer never touches the
 // runtime. When on, events go into a preallocated ring guarded by a leaf
-// mutex; the capacity knob (SystemConfig::trace_capacity) bounds memory and
+// mutex; its fixed capacity (65,536 events per System) bounds memory and
 // the oldest events are evicted first.
 #pragma once
 

@@ -472,6 +472,84 @@ TEST(Robustness, UnknownSyncSubopIsDropped) {
   EXPECT_TRUE(sem_round_trip);
 }
 
+// A reply completes the call whose req_id it carries, whoever sent it. So
+// while a drop rule holds back the real fetch reply, a rogue host (99)
+// answers host 1's pending fault call with five bytes of a fetch reply's
+// 40-byte head: first a read fault on page 0, whose manager is host 0,
+// then one on page 1, which host 1 manages and host 0 owns. Each fault
+// variant must count the bad reply, drop it and refault to the right
+// value, leaving no grant busy.
+TEST(Robustness, MalformedFetchReplyIsDroppedNotFatal) {
+  sim::Engine eng;
+  SystemConfig cfg;
+  cfg.region_bytes = 64 * 1024;
+  System sys(eng, cfg, {&arch::FireflyProfile(), &arch::FireflyProfile()});
+  net::FaultPlan plan;
+  net::FaultPlan::DropRule remote;  // page 0's reply, manager and owner 0
+  remote.src = 0;
+  remote.dst = 1;
+  remote.kind = net::MsgKind::kData;
+  remote.from = Seconds(5);
+  remote.until = Milliseconds(5500);
+  net::FaultPlan::DropRule local = remote;  // page 1's reply, owner 0
+  local.from = Seconds(10);
+  local.until = Milliseconds(10150);
+  plan.drops = {remote, local};
+  sys.network().SetFaultPlan(plan);
+  sys.Start();
+  auto rogue_rx = sys.network().Attach(99, &arch::FireflyProfile());
+
+  const GlobalAddr page1 = sys.page_bytes();
+  std::int32_t seen0 = 0, seen1 = 0;
+  sys.SpawnThread(0, "owner", [&](Host& h) {
+    const GlobalAddr a = sys.Alloc(0, arch::TypeRegistry::kInt,
+                                   2 * sys.page_bytes() / 4);
+    ASSERT_EQ(a, 0u);
+    h.Write<std::int32_t>(0, 11);
+    h.Write<std::int32_t>(page1, 22);  // host 0 takes page 1 from host 1
+    sys.sync(0).EventSet(1);
+  });
+  sys.SpawnThread(1, "reader", [&](Host& h) {
+    sys.sync(1).EventWait(1);
+    h.runtime().Delay(Seconds(5) - h.runtime().Now());
+    seen0 = h.Read<std::int32_t>(0);
+    h.runtime().Delay(Seconds(10) - h.runtime().Now());
+    seen1 = h.Read<std::int32_t>(page1);
+  });
+  eng.Spawn("rogue", [&] {
+    net::Fragmenter rogue(eng, sys.network(), 99);
+    for (const SimTime at : {Milliseconds(5500), Milliseconds(10150)}) {
+      eng.Delay(at - eng.Now());
+      // Host 1's only thread is blocked in its fault call, which holds the
+      // newest of its req_ids (they count up from 1, one per request).
+      const auto req_id = static_cast<std::uint64_t>(
+          sys.host(1).endpoint().stats().Count("reqrep.requests_sent"));
+      base::WireWriter w;
+      w.U8(2);  // reqrep framing: reply, req_id
+      w.U64(req_id);
+      w.U32(0);  // the truncated fetch reply
+      w.U8(0);
+      net::Message m;
+      m.src = 99;
+      m.dst = 1;
+      m.payload = std::move(w).Take();
+      rogue.Send(std::move(m));
+    }
+  });
+  eng.Run();
+  EXPECT_EQ(seen0, 11);
+  EXPECT_EQ(seen1, 22);
+  EXPECT_EQ(sys.host(1).stats().Count("dsm.malformed"), 2);
+  EXPECT_EQ(sys.network().stats().Count("net.rule_dropped"), 2);
+  std::uint64_t busy = 0, pending = 0;
+  for (net::HostId i = 0; i < 2; ++i) {
+    sys.host(i).CountManagerLoad(&busy, &pending);
+  }
+  EXPECT_EQ(busy, 0u);
+  EXPECT_EQ(pending, 0u);
+  (void)rogue_rx;
+}
+
 // Region-boundary behavior: a fault group near the end of the region stops
 // at the last page instead of running past it.
 TEST(Robustness, FaultGroupClampsAtRegionEnd) {

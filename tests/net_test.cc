@@ -179,9 +179,9 @@ TEST(ReqRep, BasicCallAndReply) {
   a.Start();
   b.Start();
   eng.Spawn("client", [&] {
-    auto r = a.Call(1, 1, {1, 2, 3});
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(*r, (std::vector<std::uint8_t>{1, 2, 3, 0xAA}));
+    auto r = a.CallWithStatus(1, 1, {1, 2, 3});
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.body.ToVector(), (std::vector<std::uint8_t>{1, 2, 3, 0xAA}));
   });
   eng.Run();
 }
@@ -204,9 +204,9 @@ TEST(ReqRep, ForwardDeliversReplyToOrigin) {
   b.Start();
   c.Start();
   eng.Spawn("client", [&] {
-    auto r = a.Call(1, 5, {4});
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(*r, (std::vector<std::uint8_t>{9, 9}));
+    auto r = a.CallWithStatus(1, 5, {4});
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.body.ToVector(), (std::vector<std::uint8_t>{9, 9}));
   });
   eng.Run();
   EXPECT_EQ(b.stats().Count("reqrep.forwards"), 1);
@@ -231,12 +231,12 @@ TEST(ReqRep, MultiCallCollectsAllReplies) {
   }
   a.Start();
   eng.Spawn("client", [&] {
-    auto rs = a.MultiCall({1, 2, 3, 4}, 7, {});
-    ASSERT_TRUE(rs.has_value());
-    ASSERT_EQ(rs->size(), 4u);
+    auto rs = a.MultiCallWithStatus({1, 2, 3, 4}, 7, {});
+    ASSERT_TRUE(rs.ok());
+    ASSERT_EQ(rs.replies.size(), 4u);
     for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ((*rs)[i], std::vector<std::uint8_t>{
-                              static_cast<std::uint8_t>(i + 1)});
+      EXPECT_EQ(rs.replies[i].ToVector(),
+                std::vector<std::uint8_t>{static_cast<std::uint8_t>(i + 1)});
     }
   });
   eng.Run();
@@ -289,9 +289,9 @@ TEST_P(ReqRepLoss, RetransmissionSurvivesLoss) {
   eng.Spawn("client", [&] {
     for (int i = 0; i < kCalls; ++i) {
       auto body = Blob(3000, i);  // multi-fragment: loss hits harder
-      auto r = a.Call(1, 3, body);
-      if (r.has_value()) {
-        EXPECT_EQ(*r, body);
+      auto r = a.CallWithStatus(1, 3, body);
+      if (r.ok()) {
+        EXPECT_EQ(r.body.ToVector(), body);
         ++succeeded;
       }
     }
@@ -336,8 +336,8 @@ TEST(ReqRep, DuplicationAndReorderingStayExactlyOnce) {
   eng.Spawn("client", [&] {
     for (int i = 0; i < kCalls; ++i) {
       std::vector<std::uint8_t> body{static_cast<std::uint8_t>(i)};
-      auto r = a.Call(1, 3, body);
-      if (r.has_value() && *r == body) ++succeeded;
+      auto r = a.CallWithStatus(1, 3, body);
+      if (r.ok() && r.body.ToVector() == body) ++succeeded;
     }
   });
   eng.Run();
@@ -438,8 +438,8 @@ TEST(ReqRep, ForwardingSurvivesLoss) {
   int ok = 0;
   eng.Spawn("client", [&] {
     for (int i = 0; i < 20; ++i) {
-      auto r = a.Call(1, 5, {static_cast<std::uint8_t>(i)});
-      if (r.has_value() && (*r) == std::vector<std::uint8_t>{42}) ++ok;
+      auto r = a.CallWithStatus(1, 5, {static_cast<std::uint8_t>(i)});
+      if (r.ok() && r.body.ToVector() == std::vector<std::uint8_t>{42}) ++ok;
     }
   });
   eng.Run();
