@@ -166,6 +166,13 @@ std::optional<Host::FetchReply> Host::DecodeFetchReply(
         out.data = flattened ? base::BufferChain(meta).Slice(consumed)
                              : body.Slice(consumed);
       }
+      // Installing a reply that decodes but names an owner nobody attached,
+      // a type the registry does not know, or more than a page of data
+      // would abort this host.
+      if (!net_.Attached(out.owner) || !registry_.IsValid(out.type) ||
+          out.data.size() > page_bytes_) {
+        return std::nullopt;
+      }
       return out;
     }
     if (flattened || meta.size() >= body.size()) return std::nullopt;

@@ -77,6 +77,7 @@ void Host::Start() {
   });
   const std::pair<std::uint8_t, void (Host::*)(net::RequestContext)>
       handlers[] = {
+          {kOpTypeSet, &Host::HandleTypeSet},
           {kOpInvalidate, &Host::HandleInvalidate},
           {kOpConfirm, &Host::HandleConfirm},
           {kOpConfirmProbe, &Host::HandleConfirmProbe},
@@ -176,20 +177,6 @@ void Host::Compute(double units, bool floating_point) {
 LocalPageEntry Host::LocalEntrySnapshot(PageNum p) {
   std::lock_guard<std::mutex> lk(state_mu_);
   return ptable_.Local(p);
-}
-
-void Host::ApplyTypeSet(PageNum p, arch::TypeId type,
-                        std::uint32_t alloc_bytes) {
-  if (p >= ptable_.num_pages() || !dir_.BaseManagedHere(p)) return;
-  std::lock_guard<std::mutex> lk(state_mu_);
-  ManagerEntry& m = dir_.Manager(p);
-  m.type = type;
-  m.alloc_bytes = std::max(m.alloc_bytes, alloc_bytes);
-  LocalPageEntry& e = ptable_.Local(p);
-  if (e.access != Access::kNone) {
-    e.type = type;
-    e.alloc_bytes = m.alloc_bytes;
-  }
 }
 
 std::uint64_t Host::ManagerGrantsTotal() {

@@ -210,9 +210,10 @@ class Host {
   void RcApplyNotices(const std::vector<sync::WriteNotice>& notices,
                       bool reset);
 
-  // Used by the System's allocation worker to push authoritative type and
-  // extent information to this host in its manager role. A page this host
-  // does not manage (or one past the region) is ignored.
+  // Sets the authoritative type and extent of page p, which this host must
+  // manage: the System's allocation worker calls it for the pages host 0
+  // manages, a restart replays the allocator's records through it, and
+  // HandleTypeSet applies a checked batch with it.
   void ApplyTypeSet(PageNum p, arch::TypeId type, std::uint32_t alloc_bytes);
 
   // Transfers granted in this host's manager role over its lifetime (plain
@@ -414,6 +415,12 @@ class Host {
 
   // --- handlers (run in the endpoint's rx daemon; never block) ------------
   // Manager and owner handlers (manager.cc).
+  // The allocator's kOpTypeSet batch (layout at kOpTypeSet): applies every
+  // entry and acks. Counted malformed and dropped whole, unanswered, unless
+  // it comes from host 0, names a registered type, holds whole entries (at
+  // least one), and each entry's page is in range and managed here with an
+  // extent of at most a page.
+  void HandleTypeSet(net::RequestContext ctx);
   void HandleTransferReq(net::RequestContext ctx, bool is_write);
   void HandleOwnerFetch(net::RequestContext ctx, bool is_write);
   void HandleInvalidate(net::RequestContext ctx);
@@ -454,8 +461,10 @@ class Host {
   // grant; HandleOwnerFetch decodes it.
   static net::Body EncodeOwnerFetch(PageNum p, const ManagerGrant& grant);
   net::Body EncodeFetchReply(const FetchReply& r) const;
-  // Nullopt when `body` is not a fetch reply. Replies match their call on
-  // req_id alone, so any host on the wire can complete a pending call.
+  // Nullopt when `body` is not a fetch reply, or is one that names an owner
+  // that is not attached, an unregistered type, or more than a page of
+  // data. Replies match their call on req_id alone, so any host on the wire
+  // can complete a pending call.
   std::optional<FetchReply> DecodeFetchReply(
       const base::BufferChain& body) const;
   // Timeout and attempts of every DSM protocol call (SystemConfig).

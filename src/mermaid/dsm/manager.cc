@@ -562,6 +562,45 @@ void Host::HandleGrantReject(net::RequestContext ctx) {
   ManagerRevoke(p, op_id);
 }
 
+void Host::ApplyTypeSet(PageNum p, arch::TypeId type,
+                        std::uint32_t alloc_bytes) {
+  std::lock_guard<std::mutex> lk(state_mu_);
+  ManagerEntry& m = dir_.Manager(p);
+  m.type = type;
+  m.alloc_bytes = std::max(m.alloc_bytes, alloc_bytes);
+  LocalPageEntry& e = ptable_.Local(p);
+  if (e.access != Access::kNone) {
+    e.type = type;
+    e.alloc_bytes = m.alloc_bytes;
+  }
+}
+
+void Host::HandleTypeSet(net::RequestContext ctx) {
+  // Every entry is checked before any is applied, so a bad batch is dropped
+  // whole. Applying a forged one would make the page's transfers convert
+  // with a type the allocator never set, or one the registry cannot size.
+  const std::span<const std::uint8_t> body = ctx.body();
+  base::WireReader r(body);
+  const arch::TypeId type = r.U16();
+  bool ok = ctx.origin() == 0 && body.size() > 2 &&
+            (body.size() - 2) % 8 == 0 && registry_.IsValid(type);
+  for (base::WireReader e = r; ok && e.remaining() > 0;) {
+    const PageNum p = e.U32();
+    const std::uint32_t alloc_bytes = e.U32();
+    ok = p < ptable_.num_pages() && dir_.BaseManagedHere(p) &&
+         alloc_bytes <= page_bytes_;
+  }
+  if (!ok) {
+    stats_.Inc(kMalformed);
+    return;
+  }
+  while (r.remaining() > 0) {
+    const PageNum p = r.U32();
+    ApplyTypeSet(p, type, r.U32());
+  }
+  ctx.Reply({});
+}
+
 void Host::HandleGrantExtend(net::RequestContext ctx) {
   base::WireReader r(ctx.body());
   const PageNum p = r.U32();

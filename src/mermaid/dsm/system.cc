@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 
 #include "mermaid/base/buffer.h"
 #include "mermaid/base/check.h"
@@ -104,18 +105,6 @@ void System::Start() {
         req.remote = std::move(ctx);
         alloc_chan_.Send(std::move(req));
       });
-  for (auto& host : hosts_) {
-    host->endpoint().SetHandler(
-        kOpTypeSet, [h = host.get()](net::RequestContext ctx) {
-          base::WireReader r(ctx.body());
-          const PageNum p = r.U32();
-          const arch::TypeId type = r.U16();
-          const std::uint32_t alloc_bytes = r.U32();
-          if (!r.ok()) return;
-          h->ApplyTypeSet(p, type, alloc_bytes);
-          ctx.Reply({});
-        });
-  }
   for (auto& host : hosts_) host->Start();
 
   rt_.Spawn("dsm-alloc-worker", [this] { AllocWorker(); },
@@ -129,7 +118,10 @@ void System::AllocWorker() {
     MERMAID_CHECK_MSG(result.has_value(),
                       "shared region exhausted (or invalid allocation)");
     // Push authoritative type/extent to each touched page's manager before
-    // publishing the address (so grants always carry current extents).
+    // publishing the address (so grants always carry current extents):
+    // host 0's own pages directly, the rest as one kOpTypeSet batch per
+    // manager, called in ascending manager id.
+    std::map<net::HostId, base::WireWriter> batches;
     for (PageNum p : result->touched_pages) {
       const net::HostId mgr = placement_.BaseManagerOf(p);
       const std::uint32_t alloc_bytes = allocator_->AllocBytesOfPage(p);
@@ -137,10 +129,12 @@ void System::AllocWorker() {
         h0.ApplyTypeSet(p, req->type, alloc_bytes);
         continue;
       }
-      base::WireWriter w;
+      base::WireWriter& w = batches[mgr];
+      if (w.size() == 0) w.U16(req->type);
       w.U32(p);
-      w.U16(req->type);
       w.U32(alloc_bytes);
+    }
+    for (auto& [mgr, w] : batches) {
       auto ack = h0.endpoint().CallWithStatus(mgr, kOpTypeSet,
                                               std::move(w).Take(),
                                               net::MsgKind::kControl,

@@ -134,6 +134,9 @@ struct SystemConfig {
 
 // Protocol opcodes (one Endpoint per host, shared with the sync module).
 inline constexpr std::uint8_t kOpAlloc = 1;       // any -> host 0
+// kOpTypeSet: the allocator on host 0 tells a page manager the type and
+// allocated extent of the pages an Alloc touched, one call per manager:
+// u16 type, then one (u32 page, u32 alloc_bytes) entry per page.
 inline constexpr std::uint8_t kOpTypeSet = 2;     // host 0 -> page manager
 inline constexpr std::uint8_t kOpReadReq = 3;     // requester -> manager -> owner
 inline constexpr std::uint8_t kOpWriteReq = 4;    // requester -> manager -> owner

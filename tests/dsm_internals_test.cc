@@ -1,6 +1,7 @@
 // Unit tests of DSM internals: page-table role assignment, the coherence
 // referee's violation detection, and host-level protocol robustness against
 // malformed traffic.
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -234,22 +235,24 @@ TEST(Robustness, RequestFromUnattachedOriginIsDropped) {
   sys.Start();
   auto rogue_rx = sys.network().Attach(99, &arch::Sun3Profile());
 
-  base::WireWriter type_set;  // page 0 (managed by host 0) holds ints
-  type_set.U32(0);
-  type_set.U16(arch::TypeRegistry::kInt);
-  type_set.U32(64);
-  const std::vector<std::uint8_t> body = std::move(type_set).Take();
+  // A semaphore init: a request any host may send, so only the origin
+  // decides whether it is answered.
+  base::WireWriter sem_init;
+  sem_init.U8(1);   // SemInit
+  sem_init.U64(7);  // sync id
+  sem_init.I64(0);  // initial count
+  const std::vector<std::uint8_t> body = std::move(sem_init).Take();
 
   int replies_to_rogue = 0;
   std::int32_t seen = 0;
   sys.SpawnThread(0, "rogue-then-app", [&](Host& h) {
     bool timed_out = false;
     // Control: the same request naming the rogue itself is answered.
-    sys.network().Send(CraftRequest(99, 0, 99, 1, kOpTypeSet, body));
+    sys.network().Send(CraftRequest(99, 0, 99, 1, kOpSync, body));
     if (rogue_rx.RecvUntil(h.runtime().Now() + Seconds(1), &timed_out)) {
       ++replies_to_rogue;
     }
-    sys.network().Send(CraftRequest(99, 0, 500, 2, kOpTypeSet, body));
+    sys.network().Send(CraftRequest(99, 0, 500, 2, kOpSync, body));
     if (rogue_rx.RecvUntil(h.runtime().Now() + Seconds(1), &timed_out)) {
       ++replies_to_rogue;
     }
@@ -266,6 +269,75 @@ TEST(Robustness, RequestFromUnattachedOriginIsDropped) {
   EXPECT_EQ(replies_to_rogue, 1);
   EXPECT_EQ(seen, 4242);
   EXPECT_EQ(sys.host(0).endpoint().stats().Count("reqrep.malformed"), 1);
+}
+
+// A type-set decides how a page converts, so a manager takes one only from
+// the allocator on host 0, and only whole. After a real Alloc of pages 0-1,
+// rogue host 99 sends host 1 (the manager of page 1) eight forged batches.
+// The first is well formed but names origin 99. The others forge origin 0
+// and carry an unregistered type, no entry, a torn entry, a page past the
+// region, a page host 1 does not manage, an extent over a page, and a good
+// entry next to a bad one. Each must be counted and dropped unanswered, and
+// the int the Sun writes must read back on the Firefly. Applied, the kShort
+// retype would convert it as two shorts (4242 would read as 278003712), and
+// the unregistered type would abort the next conversion.
+TEST(Robustness, ForgedTypeSetIsDropped) {
+  sim::Engine eng;
+  SystemConfig cfg;
+  cfg.region_bytes = 64 * 1024;  // eight 8 KB pages
+  System sys(eng, cfg, {&arch::Sun3Profile(), &arch::FireflyProfile()});
+  ASSERT_EQ(sys.page_bytes(), 8192u);
+  sys.Start();
+  auto rogue_rx = sys.network().Attach(99, &arch::Sun3Profile());
+
+  using Entries = std::vector<std::pair<PageNum, std::uint32_t>>;
+  const auto batch = [](arch::TypeId type, const Entries& entries) {
+    base::WireWriter w;
+    w.U16(type);
+    for (const auto& [page, alloc_bytes] : entries) {
+      w.U32(page);
+      w.U32(alloc_bytes);
+    }
+    return std::move(w).Take();
+  };
+  constexpr arch::TypeId kShort = arch::TypeRegistry::kShort;
+  std::vector<std::uint8_t> torn = batch(kShort, {{1, 8192}});
+  torn.insert(torn.end(), {0, 0, 0});
+  const std::pair<net::HostId, std::vector<std::uint8_t>> forged[] = {
+      {99, batch(kShort, {{1, 8192}})},
+      {0, batch(0x7777, {{1, 8192}})},
+      {0, batch(kShort, {})},
+      {0, torn},
+      {0, batch(kShort, {{8, 8192}})},
+      {0, batch(kShort, {{0, 8192}})},
+      {0, batch(kShort, {{1, 8193}})},
+      {0, batch(kShort, {{1, 8192}, {3, 8193}})},
+  };
+
+  std::int32_t seen = 0;
+  sys.SpawnThread(0, "allocator-then-rogue", [&](Host& h) {
+    const GlobalAddr a = sys.Alloc(0, arch::TypeRegistry::kInt, 2 * 8192 / 4);
+    ASSERT_EQ(a, 0u);
+    std::uint64_t req_id = 0;
+    for (const auto& [origin, body] : forged) {
+      sys.network().Send(CraftRequest(99, 1, origin, ++req_id, kOpTypeSet,
+                                      body));
+    }
+    h.runtime().Delay(Seconds(1));
+    h.Write<std::int32_t>(8192, 4242);  // page 1, converted Firefly -> Sun
+    sys.sync(0).EventSet(1);
+  });
+  sys.SpawnThread(1, "reader", [&](Host& h) {
+    sys.sync(1).EventWait(1);
+    seen = h.Read<std::int32_t>(8192);  // converted Sun -> Firefly
+  });
+  eng.Run();
+  EXPECT_EQ(seen, 4242);
+  EXPECT_EQ(sys.host(1).stats().Count("dsm.malformed"), 8);
+  // Host 1's only type-set message is its ack of the allocator's batch.
+  EXPECT_EQ(sys.host(1).endpoint().stats().Count("reqrep.tx_msgs.type_set"),
+            1);
+  EXPECT_FALSE(rogue_rx.TryRecv().has_value());
 }
 
 // A transfer request whose role byte is neither kToManager nor kToOwner
@@ -474,73 +546,110 @@ TEST(Robustness, UnknownSyncSubopIsDropped) {
 
 // A reply completes the call whose req_id it carries, whoever sent it. So
 // while a drop rule holds back the real fetch reply, a rogue host (99)
-// answers host 1's pending fault call with five bytes of a fetch reply's
-// 40-byte head: first a read fault on page 0, whose manager is host 0,
-// then one on page 1, which host 1 manages and host 0 owns. Each fault
-// variant must count the bad reply, drop it and refault to the right
+// answers host 1's pending fault call, in four rounds of two faults: a read
+// of page 0, whose manager is host 0, then one of page 1, which host 1
+// manages and host 0 owns. The rogue's reply is five bytes of a fetch
+// reply's 40-byte head in round 0. In rounds 1-3 it is a whole reply that
+// lies: three pages of data, owner 500 (never attached), and the
+// unregistered type 0x7777, each with data in a foreign representation.
+// Every fault must count the bad reply, drop it and refault to the right
 // value, leaving no grant busy.
 TEST(Robustness, MalformedFetchReplyIsDroppedNotFatal) {
   sim::Engine eng;
   SystemConfig cfg;
   cfg.region_bytes = 64 * 1024;
   System sys(eng, cfg, {&arch::FireflyProfile(), &arch::FireflyProfile()});
+  constexpr int kRounds = 4;
+  const auto at = [](int round, SimTime t) { return Seconds(10) * round + t; };
   net::FaultPlan plan;
-  net::FaultPlan::DropRule remote;  // page 0's reply, manager and owner 0
-  remote.src = 0;
-  remote.dst = 1;
-  remote.kind = net::MsgKind::kData;
-  remote.from = Seconds(5);
-  remote.until = Milliseconds(5500);
-  net::FaultPlan::DropRule local = remote;  // page 1's reply, owner 0
-  local.from = Seconds(10);
-  local.until = Milliseconds(10150);
-  plan.drops = {remote, local};
+  for (int round = 0; round < kRounds; ++round) {
+    net::FaultPlan::DropRule remote;  // page 0's reply, manager and owner 0
+    remote.src = 0;
+    remote.dst = 1;
+    remote.kind = net::MsgKind::kData;
+    remote.from = at(round, Seconds(5));
+    remote.until = at(round, Milliseconds(5500));
+    net::FaultPlan::DropRule local = remote;  // page 1's reply, owner 0
+    local.from = at(round, Seconds(10));
+    local.until = at(round, Milliseconds(10150));
+    plan.drops.push_back(remote);
+    plan.drops.push_back(local);
+  }
   sys.network().SetFaultPlan(plan);
   sys.Start();
   auto rogue_rx = sys.network().Attach(99, &arch::FireflyProfile());
 
+  // Round r's fetch reply body; round 0's is the truncated head.
+  const auto lie = [&](int round) {
+    base::WireWriter w;
+    if (round == 0) {
+      w.U32(0);
+      w.U8(0);
+      return std::move(w).Take();
+    }
+    w.U64(1);                                        // op_id
+    w.U64(0);                                        // data_version
+    w.U64(1);                                        // new_version
+    w.U16(round == 2 ? 500 : 0);                     // owner
+    w.U16(round == 3 ? 0x7777 : arch::TypeRegistry::kInt);  // type
+    w.U32(sys.page_bytes());                         // alloc_bytes
+    w.U16(0);                                        // no hosts to invalidate
+    w.U8(1);                                         // has_data
+    w.U8(arch::RepClassByte(arch::Sun3Profile()));   // foreign data
+    w.U8(0);                                         // flags
+    w.Raw(std::vector<std::uint8_t>((round == 1 ? 3 : 1) * sys.page_bytes()));
+    return std::move(w).Take();
+  };
+
   const GlobalAddr page1 = sys.page_bytes();
-  std::int32_t seen0 = 0, seen1 = 0;
+  std::int32_t seen0[kRounds] = {}, seen1[kRounds] = {};
   sys.SpawnThread(0, "owner", [&](Host& h) {
     const GlobalAddr a = sys.Alloc(0, arch::TypeRegistry::kInt,
                                    2 * sys.page_bytes() / 4);
     ASSERT_EQ(a, 0u);
-    h.Write<std::int32_t>(0, 11);
-    h.Write<std::int32_t>(page1, 22);  // host 0 takes page 1 from host 1
-    sys.sync(0).EventSet(1);
+    for (int round = 0; round < kRounds; ++round) {
+      // Takes both pages back, so the reader faults on them again.
+      h.runtime().Delay(at(round, Seconds(1)) - h.runtime().Now());
+      h.Write<std::int32_t>(0, 100 * round + 11);
+      h.Write<std::int32_t>(page1, 100 * round + 22);
+    }
   });
   sys.SpawnThread(1, "reader", [&](Host& h) {
-    sys.sync(1).EventWait(1);
-    h.runtime().Delay(Seconds(5) - h.runtime().Now());
-    seen0 = h.Read<std::int32_t>(0);
-    h.runtime().Delay(Seconds(10) - h.runtime().Now());
-    seen1 = h.Read<std::int32_t>(page1);
+    for (int round = 0; round < kRounds; ++round) {
+      h.runtime().Delay(at(round, Seconds(5)) - h.runtime().Now());
+      seen0[round] = h.Read<std::int32_t>(0);
+      h.runtime().Delay(at(round, Seconds(10)) - h.runtime().Now());
+      seen1[round] = h.Read<std::int32_t>(page1);
+    }
   });
   eng.Spawn("rogue", [&] {
     net::Fragmenter rogue(eng, sys.network(), 99);
-    for (const SimTime at : {Milliseconds(5500), Milliseconds(10150)}) {
-      eng.Delay(at - eng.Now());
-      // Host 1's only thread is blocked in its fault call, which holds the
-      // newest of its req_ids (they count up from 1, one per request).
-      const auto req_id = static_cast<std::uint64_t>(
-          sys.host(1).endpoint().stats().Count("reqrep.requests_sent"));
-      base::WireWriter w;
-      w.U8(2);  // reqrep framing: reply, req_id
-      w.U64(req_id);
-      w.U32(0);  // the truncated fetch reply
-      w.U8(0);
-      net::Message m;
-      m.src = 99;
-      m.dst = 1;
-      m.payload = std::move(w).Take();
-      rogue.Send(std::move(m));
+    for (int round = 0; round < kRounds; ++round) {
+      for (const SimTime t : {Milliseconds(5500), Milliseconds(10150)}) {
+        eng.Delay(at(round, t) - eng.Now());
+        // Host 1's only thread is blocked in its fault call, which holds
+        // the newest of its req_ids (they count up from 1, one per request).
+        const auto req_id = static_cast<std::uint64_t>(
+            sys.host(1).endpoint().stats().Count("reqrep.requests_sent"));
+        base::WireWriter w;
+        w.U8(2);  // reqrep framing: reply, req_id
+        w.U64(req_id);
+        w.Raw(lie(round));
+        net::Message m;
+        m.src = 99;
+        m.dst = 1;
+        m.payload = std::move(w).Take();
+        rogue.Send(std::move(m));
+      }
     }
   });
   eng.Run();
-  EXPECT_EQ(seen0, 11);
-  EXPECT_EQ(seen1, 22);
-  EXPECT_EQ(sys.host(1).stats().Count("dsm.malformed"), 2);
-  EXPECT_EQ(sys.network().stats().Count("net.rule_dropped"), 2);
+  for (int round = 0; round < kRounds; ++round) {
+    EXPECT_EQ(seen0[round], 100 * round + 11) << "round " << round;
+    EXPECT_EQ(seen1[round], 100 * round + 22) << "round " << round;
+  }
+  EXPECT_EQ(sys.host(1).stats().Count("dsm.malformed"), 2 * kRounds);
+  EXPECT_EQ(sys.network().stats().Count("net.rule_dropped"), 2 * kRounds);
   std::uint64_t busy = 0, pending = 0;
   for (net::HostId i = 0; i < 2; ++i) {
     sys.host(i).CountManagerLoad(&busy, &pending);

@@ -1,6 +1,6 @@
 // Focused tests of protocol paths only exercised by benches elsewhere:
-// allocation-extent growth, dedup eviction, and reassembler garbage
-// collection.
+// allocation-extent growth, the allocator's type-set batches, dedup
+// eviction, and reassembler garbage collection.
 #include <gtest/gtest.h>
 
 #include "mermaid/dsm/system.h"
@@ -45,6 +45,35 @@ TEST(AllocExtent, GrowingAPageExtentIsVisibleThroughTransfers) {
     }
   });
   eng.Run();
+}
+
+// Alloc tells each touched page's manager the page's type and extent
+// before it returns the address: host 0 applies its own pages, and every
+// other manager gets one kOpTypeSet batch. Four Fireflies (1 KB pages,
+// page p managed by host p % 4) and 7.5 pages of ints: pages 0-7, two per
+// manager, the last one half full.
+TEST(AllocExtent, TypeSetIsOneCallPerRemoteManager) {
+  sim::Engine eng;
+  SystemConfig cfg;  // the fixed directory
+  cfg.region_bytes = 64 * 1024;
+  System sys(eng, cfg,
+             {&arch::FireflyProfile(), &arch::FireflyProfile(),
+              &arch::FireflyProfile(), &arch::FireflyProfile()});
+  ASSERT_EQ(sys.page_bytes(), 1024u);
+  sys.Start();
+  sys.SpawnThread(0, "allocator", [&](Host&) {
+    ASSERT_EQ(sys.Alloc(0, Reg::kInt, 7 * 256 + 128), 0u);
+    // A manager starts out holding every page it manages, so its own copy
+    // shows what it was told.
+    for (PageNum p = 0; p < 8; ++p) {
+      const LocalPageEntry e = sys.host(p % 4).LocalEntrySnapshot(p);
+      EXPECT_EQ(e.type, Reg::kInt) << "page " << p;
+      EXPECT_EQ(e.alloc_bytes, p == 7 ? 512u : 1024u) << "page " << p;
+    }
+  });
+  eng.Run();
+  // A call and its ack per remote manager (hosts 1-3), not per page.
+  EXPECT_EQ(sys.GatherStats().Count("reqrep.tx_msgs.type_set"), 2 * 3);
 }
 
 TEST(Reassembler, StalePartialsAreCollected) {
