@@ -1,5 +1,5 @@
 // Directory scale-out: manager-load balance and fault latency at fleet
-// sizes the paper never reached (64-256 hosts).
+// sizes the paper never reached (64-512 hosts).
 //
 // The workload is built to exercise the fixed p % N manager map's worst
 // case: every hot page lives at a residue below N/8, so the paper's scheme
@@ -22,7 +22,7 @@
 // construction + Start) and run (Engine::Run).
 //
 // All hosts share one Firefly-derived profile with 128-byte VM pages so a
-// 64N-page region fits in memory at N=256 while keeping the 1:1 VM:DSM
+// 64N-page region fits in memory at N=512 while keeping the 1:1 VM:DSM
 // page mapping of an all-Firefly cluster.
 #include <algorithm>
 #include <chrono>
@@ -43,7 +43,7 @@ constexpr std::uint32_t kPageB = 128;
 constexpr int kPagesPerResidue = 64;  // hot pages = kPagesPerResidue * N/8
 
 // Firefly cost model on a small VM page: region_bytes = 64N pages stays
-// ~2 MB/host at N=256, and every DSM page maps to exactly one VM page.
+// 4 MB/host at N=512, and every DSM page maps to exactly one VM page.
 const arch::ArchProfile& BenchProfile() {
   static const arch::ArchProfile kProfile = [] {
     arch::ArchProfile p = arch::FireflyProfile();
@@ -219,7 +219,7 @@ int main() {
       "skew (hot pages aliased to residues < N/8)");
   benchutil::JsonReport report("directory");
   bool all_ok = true;
-  for (int n : {64, 128, 256}) {
+  for (int n : {64, 128, 256, 512}) {
     std::printf("\n-- %d hosts --\n", n);
     std::printf("%12s %8s %10s %10s %7s %4s %8s %8s\n", "mode", "gini",
                 "p99_ms", "mean_ms", "ops", "ok", "setup_s", "run_s");

@@ -1,5 +1,8 @@
 #include "mermaid/dsm/central.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "mermaid/base/check.h"
 #include "mermaid/base/wire.h"
 
@@ -17,7 +20,7 @@ const base::StatKey kWrites("central.writes");
 CentralServer::CentralServer(sim::Runtime& rt,
                              const arch::ArchProfile* profile,
                              std::uint64_t region_bytes)
-    : rt_(rt), profile_(profile), mem_(region_bytes, 0) {
+    : rt_(rt), profile_(profile), mem_(region_bytes) {
   MERMAID_CHECK(profile != nullptr);
 }
 
@@ -31,14 +34,14 @@ void CentralServer::Attach(net::Endpoint& ep) {
 
 void CentralServer::ReadBytes(GlobalAddr addr, std::span<std::uint8_t> out) {
   std::lock_guard<std::mutex> lk(mu_);
-  MERMAID_CHECK(addr + out.size() <= mem_.size());
+  MERMAID_CHECK(InRegion(addr, out.size()));
   std::copy_n(mem_.begin() + addr, out.size(), out.begin());
 }
 
 void CentralServer::WriteBytes(GlobalAddr addr,
                                std::span<const std::uint8_t> data) {
   std::lock_guard<std::mutex> lk(mu_);
-  MERMAID_CHECK(addr + data.size() <= mem_.size());
+  MERMAID_CHECK(InRegion(addr, data.size()));
   std::copy(data.begin(), data.end(), mem_.begin() + addr);
 }
 
@@ -46,7 +49,7 @@ void CentralServer::HandleRead(net::RequestContext ctx) {
   base::WireReader r(ctx.body());
   const GlobalAddr addr = r.U64();
   const std::uint32_t size = r.U32();
-  if (!r.ok() || addr + size > mem_.size()) {
+  if (!r.ok() || !InRegion(addr, size)) {
     stats_.Inc(kMalformed);
     return;
   }
@@ -62,7 +65,7 @@ void CentralServer::HandleWrite(net::RequestContext ctx) {
   base::WireReader r(ctx.body());
   const GlobalAddr addr = r.U64();
   auto data = r.Rest();
-  if (!r.ok() || addr + data.size() > mem_.size()) {
+  if (!r.ok() || !InRegion(addr, data.size())) {
     stats_.Inc(kMalformed);
     return;
   }

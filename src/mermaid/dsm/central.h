@@ -22,12 +22,12 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
-#include <vector>
 
 #include "mermaid/arch/arch.h"
 #include "mermaid/arch/scalar.h"
 #include "mermaid/base/check.h"
 #include "mermaid/base/stats.h"
+#include "mermaid/base/zero_mapping.h"
 #include "mermaid/dsm/types.h"
 #include "mermaid/net/reqrep.h"
 
@@ -50,18 +50,26 @@ class CentralServer {
   const arch::ArchProfile& profile() const { return *profile_; }
   base::StatsRegistry& stats() { return stats_; }
 
-  // Direct access for threads on the server host (no network hop).
+  // Direct access for threads on the server host (no network hop). The
+  // range must lie inside the region.
   void ReadBytes(GlobalAddr addr, std::span<std::uint8_t> out);
   void WriteBytes(GlobalAddr addr, std::span<const std::uint8_t> data);
 
  private:
+  // True when [addr, addr + size) lies inside the region. Written so that
+  // no sum can wrap: a wire address near 2^64 fails it.
+  bool InRegion(GlobalAddr addr, std::uint64_t size) const {
+    return size <= mem_.size() && addr <= mem_.size() - size;
+  }
   void HandleRead(net::RequestContext ctx);
   void HandleWrite(net::RequestContext ctx);
 
   sim::Runtime& rt_;
   const arch::ArchProfile* profile_;
   std::mutex mu_;
-  std::vector<std::uint8_t> mem_;  // in the server's representation
+  // In the server's representation. Only the OS pages a run writes hold
+  // frames; a run that never uses this backend pays for none.
+  base::ZeroMapping mem_;
   base::StatsRegistry stats_;
 };
 

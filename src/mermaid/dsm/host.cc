@@ -176,7 +176,12 @@ void Host::Compute(double units, bool floating_point) {
 
 LocalPageEntry Host::LocalEntrySnapshot(PageNum p) {
   std::lock_guard<std::mutex> lk(state_mu_);
-  return ptable_.Local(p);
+  return std::as_const(ptable_).Local(p);
+}
+
+std::size_t Host::PageChunksInUse() {
+  std::lock_guard<std::mutex> lk(state_mu_);
+  return ptable_.ChunksInUse();
 }
 
 std::uint64_t Host::ManagerGrantsTotal() {

@@ -192,8 +192,9 @@ class Host {
     endpoint_.SetTracer(tracer);
   }
 
-  // Test hooks.
+  // Test hooks. The snapshot makes no page-table chunk.
   LocalPageEntry LocalEntrySnapshot(PageNum p);
+  std::size_t PageChunksInUse();
   // Release-consistency test hook: live twin count.
   std::size_t RcTwinCount();
 

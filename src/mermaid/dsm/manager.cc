@@ -413,7 +413,7 @@ void Host::HandleOwnerFetch(net::RequestContext ctx, bool is_write) {
   bool lost = false;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
-    const LocalPageEntry& e = ptable_.Local(p);
+    const LocalPageEntry& e = std::as_const(ptable_).Local(p);
     if (cfg_.crash_recovery && e.access == Access::kNone && !e.retained) {
       // Amnesia: the grant names this host as owner, but the copy died with
       // a previous life. EncodeServeReply would abort on the missing copy;

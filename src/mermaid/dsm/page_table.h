@@ -7,13 +7,17 @@
 // Directory, which also decides which host manages which page.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
 
 #include "mermaid/arch/type_registry.h"
+#include "mermaid/base/check.h"
 #include "mermaid/dsm/types.h"
 #include "mermaid/net/network.h"
 #include "mermaid/net/reqrep.h"
@@ -21,7 +25,7 @@
 
 namespace mermaid::dsm {
 
-// This host's view of one DSM page. Every host keeps one per page of the
+// This host's view of one DSM page. A host can address every page of the
 // region, so the fields are packed into 16 bytes.
 struct LocalPageEntry {
   std::uint64_t version = 0;
@@ -85,23 +89,66 @@ struct ManagerEntry {
   std::list<PendingTransfer> pending;
 };
 
+// This host's entries, in 16-entry chunks (256 B) that exist only once the
+// host uses one of their pages: a host pays for the pages it manages (the
+// Host constructor seeds those) and the pages it touches, not for the whole
+// region. A chunk, once made, lives as long as the table, so an entry
+// reference stays valid for the table's lifetime, a crash wipe included.
+// Guarded by the owning Host's state_mu_.
 class PageTable {
  public:
+  static constexpr PageNum kChunkPages = 16;
+
   explicit PageTable(PageNum num_pages);
 
-  LocalPageEntry& Local(PageNum p);
-  const LocalPageEntry& Local(PageNum p) const;
-
-  // Crash-with-amnesia: forgets every local copy. The matching manager-side
-  // wipe lives in Directory::WipeForCrash.
-  void WipeForCrash() {
-    for (auto& e : local_) e = LocalPageEntry{};
+  // p's entry; makes p's chunk on first use. The typed accessors call this
+  // two or three times per access, so it is inline.
+  LocalPageEntry& Local(PageNum p) {
+    MERMAID_CHECK(p < num_pages_);
+    std::unique_ptr<Chunk>& c = chunks_[p / kChunkPages];
+    if (c == nullptr) c = std::make_unique<Chunk>();
+    return (*c)[p % kChunkPages];
+  }
+  // p's entry, or a default one when p's chunk was never made. Allocates
+  // nothing, so a scan or a request from the wire can read any page.
+  const LocalPageEntry& Local(PageNum p) const {
+    MERMAID_CHECK(p < num_pages_);
+    const Chunk* c = chunks_[p / kChunkPages].get();
+    return c == nullptr ? kAbsent : (*c)[p % kChunkPages];
   }
 
-  PageNum num_pages() const { return static_cast<PageNum>(local_.size()); }
+  // Calls fn(p, entry) for every page of every chunk made so far, in
+  // ascending page order. The pages it skips hold default entries.
+  template <typename Fn>
+  void ForEachInUse(Fn&& fn) {
+    for (std::size_t i = 0; i < chunks_.size(); ++i) {
+      if (chunks_[i] == nullptr) continue;
+      const auto first = static_cast<PageNum>(i * kChunkPages);
+      for (PageNum k = 0; k < kChunkPages && first + k < num_pages_; ++k) {
+        fn(first + k, (*chunks_[i])[k]);
+      }
+    }
+  }
+
+  // Crash-with-amnesia: forgets every local copy. Chunks are reset in place
+  // and kept. The matching manager-side wipe lives in
+  // Directory::WipeForCrash.
+  void WipeForCrash() {
+    for (auto& c : chunks_) {
+      if (c != nullptr) c->fill(LocalPageEntry{});
+    }
+  }
+
+  PageNum num_pages() const { return num_pages_; }
+  // Chunks made so far (a test hook).
+  std::size_t ChunksInUse() const;
 
  private:
-  std::vector<LocalPageEntry> local_;
+  using Chunk = std::array<LocalPageEntry, kChunkPages>;
+  static constexpr LocalPageEntry kAbsent{};
+
+  PageNum num_pages_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;  // by p / kChunkPages
 };
 
 }  // namespace mermaid::dsm

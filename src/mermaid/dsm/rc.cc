@@ -373,19 +373,19 @@ void Host::RcApplyNotices(const std::vector<sync::WriteNotice>& notices,
   if (reset) {
     // The server's bounded notice log was truncated past this client's
     // cursor: unknown notices were missed, so every read copy that is
-    // neither twinned nor the master here is conservatively stale.
+    // neither twinned nor the master here is conservatively stale. Pages
+    // whose chunk was never made hold no copy.
     stats_.Inc("dsm.rc_notice_resets");
-    for (PageNum p = 0; p < ptable_.num_pages(); ++p) {
-      if (dir_.BaseManagedHere(p) || rc_twins_.count(p) != 0) continue;
-      LocalPageEntry& e = ptable_.Local(p);
+    ptable_.ForEachInUse([&](PageNum p, LocalPageEntry& e) {
+      if (dir_.BaseManagedHere(p) || rc_twins_.count(p) != 0) return;
       e.retained = false;
-      if (e.access == Access::kNone) continue;
+      if (e.access == Access::kNone) return;
       e.access = Access::kNone;
       e.owned = false;
       DropConvertCacheLocked(p);
       if (referee_ != nullptr) referee_->OnInvalidate(self_, p);
       stats_.Inc("dsm.rc_reset_invalidations");
-    }
+    });
   }
   for (const sync::WriteNotice& n : notices) {
     const PageNum p = n.page;
@@ -393,8 +393,9 @@ void Host::RcApplyNotices(const std::vector<sync::WriteNotice>& notices,
     if (n.origin == self_) continue;          // our own flush
     if (dir_.BaseManagedHere(p)) continue;    // the master is always fresh
     if (rc_twins_.count(p) != 0) continue;    // flushed at our next release
+    const LocalPageEntry& seen = std::as_const(ptable_).Local(p);
+    if (seen.access == Access::kNone || seen.version >= n.version) continue;
     LocalPageEntry& e = ptable_.Local(p);
-    if (e.access == Access::kNone || e.version >= n.version) continue;
     e.access = Access::kNone;
     e.owned = false;
     e.retained = false;

@@ -239,7 +239,7 @@ void Host::HandleRecoveryQuery(net::RequestContext ctx) {
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     auto emit = [&](PageNum p) {
-      const LocalPageEntry& e = ptable_.Local(p);
+      const LocalPageEntry& e = std::as_const(ptable_).Local(p);
       Claim c;
       c.page = p;
       c.version = e.version;

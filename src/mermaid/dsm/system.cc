@@ -61,6 +61,7 @@ System::System(sim::Runtime& rt, SystemConfig cfg,
   allocator_ = std::make_unique<Allocator>(&registry_, cfg_.region_bytes,
                                            page_bytes_);
   alloc_chan_ = sim::Chan<AllocRequest>(rt);
+  amnesic_.assign(num_hosts, false);
   sync_server_ = std::make_unique<sync::SyncServer>(rt);
   sync_server_->SetReleaseConsistency(cfg_.release_consistency);
   central_server_ = std::make_unique<CentralServer>(rt, host_profiles[0],
@@ -120,7 +121,11 @@ void System::AllocWorker() {
     // Push authoritative type/extent to each touched page's manager before
     // publishing the address (so grants always carry current extents):
     // host 0's own pages directly, the rest as one kOpTypeSet batch per
-    // manager, called in ascending manager id.
+    // manager, called in ascending manager id. A manager that is down with
+    // amnesia, before the call or once it times out, is skipped: the
+    // allocator has recorded this allocation, and RestartHostRecover
+    // replays every record into it. A manager that is merely unreachable
+    // gets no replay, so its timeout stays fatal.
     std::map<net::HostId, base::WireWriter> batches;
     for (PageNum p : result->touched_pages) {
       const net::HostId mgr = placement_.BaseManagerOf(p);
@@ -135,12 +140,14 @@ void System::AllocWorker() {
       w.U32(alloc_bytes);
     }
     for (auto& [mgr, w] : batches) {
+      if (amnesic_[mgr]) continue;
       auto ack = h0.endpoint().CallWithStatus(mgr, kOpTypeSet,
                                               std::move(w).Take(),
                                               net::MsgKind::kControl,
                                               h0.DsmCallOpts());
       if (ack.status == net::CallStatus::kShutdown) return;
-      MERMAID_CHECK_MSG(ack.ok(), "type-set call to page manager timed out");
+      MERMAID_CHECK_MSG(ack.ok() || amnesic_[mgr],
+                        "type-set call to page manager timed out");
     }
     if (req->remote.has_value()) {
       base::WireWriter w;
@@ -239,11 +246,15 @@ void System::CrashHostAmnesia(net::HostId h) {
   network_->CrashHost(h);
   hosts_.at(h)->CrashWipe();
   sync_server_->BreakHost(h);
+  amnesic_.at(h) = true;
 }
 
 void System::RestartHostRecover(net::HostId h) {
   network_->RestartHost(h);
   Host& host = *hosts_.at(h);
+  // From here on an Alloc calls h again; the replay below covers every
+  // allocation made while it was down.
+  amnesic_.at(h) = false;
   // Replay the durable allocation metadata into the restarted manager so
   // grants carry correct type/extent information again.
   allocator_->ForEachTypedPage(

@@ -94,7 +94,8 @@ class System {
   // replies from its previous life are fenced. The referee forgets its
   // copies and the sync server breaks any locks it held. Requires
   // config().crash_recovery. The host stays down (messages dropped) until
-  // RestartHostRecover.
+  // RestartHostRecover. An Alloc meanwhile skips its type-set batch to `h`
+  // and leaves those pages to the restart's replay.
   void CrashHostAmnesia(net::HostId h);
   // Brings a crashed host back: reconnects the network, replays the
   // allocator's page type/extent metadata into the restarted manager (the
@@ -141,6 +142,8 @@ class System {
   std::vector<std::unique_ptr<Host>> hosts_;
   std::unique_ptr<Allocator> allocator_;  // host 0's bookkeeping
   sim::Chan<AllocRequest> alloc_chan_;
+  // Per host: crashed with amnesia and not restarted yet.
+  std::vector<bool> amnesic_;
   std::unique_ptr<sync::SyncServer> sync_server_;  // lives on host 0
   std::vector<sync::Client> sync_clients_;
   std::unique_ptr<CentralServer> central_server_;  // lives on host 0

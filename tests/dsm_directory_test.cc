@@ -197,6 +197,88 @@ TEST(DirScale, ShardedEndToEndConverges) {
   ExpectQuiescent(sys);
 }
 
+// A host's page table makes a chunk only for pages it manages (the Host
+// constructor seeds those) or touches, not for the whole region. 64 hosts
+// on the ring, 4,096 1-KB pages: each worker stamps its own hot pages and
+// re-reads a zipf-skewed sample of the hot set, which is strided over the
+// region. Then a host crashes and restarts, and its rebuild queries every
+// survivor's claims: that scan reads the tables without growing them.
+TEST(DirScale, PageTableChunksTrackManagedAndTouchedPages) {
+  constexpr int kHosts = 64;
+  constexpr PageNum kPages = 64 * kHosts;
+  constexpr int kHot = 256;
+  constexpr int kRounds = 3;
+  constexpr int kReads = 4;
+  constexpr net::HostId kVictim = 17;
+  const auto hot_page = [](int j) { return static_cast<PageNum>(15 * j + 7); };
+
+  sim::Engine eng;
+  SystemConfig cfg = DirConfig(74001);
+  cfg.region_bytes = static_cast<std::uint64_t>(kPages) * 1024;
+  cfg.directory_mode = SystemConfig::DirectoryMode::kSharded;
+  cfg.crash_recovery = true;
+  cfg.lost_page_policy = SystemConfig::LostPagePolicy::kReinitZero;
+  System sys(eng, cfg,
+             std::vector<const arch::ArchProfile*>(kHosts,
+                                                   &arch::FireflyProfile()));
+  ASSERT_EQ(sys.page_bytes(), 1024u);
+  sys.Start();
+
+  std::vector<std::set<PageNum>> touched(kHosts);
+  std::vector<std::size_t> settled(kHosts), after_recovery(kHosts);
+  sys.SpawnThread(0, "master", [&](Host& h) {
+    sys.Alloc(0, Reg::kInt, cfg.region_bytes / 4);
+    sys.sync(0).SemInit(1, 0);
+    for (int w = 1; w < kHosts; ++w) {
+      sys.SpawnThread(w, "zipf" + std::to_string(w), [&, w](Host& hh) {
+        base::Rng rng(74001 * 977 + w);
+        for (int r = 0; r < kRounds; ++r) {
+          for (int j = w - 1; j < kHot; j += kHosts - 1) {
+            touched[w].insert(hot_page(j));
+            hh.Write<std::int32_t>(1024ull * hot_page(j), r * 1000 + j);
+          }
+          for (int k = 0; k < kReads; ++k) {
+            const double u = rng.NextDouble();
+            const PageNum p = hot_page(static_cast<int>(u * u * kHot));
+            touched[w].insert(p);
+            (void)hh.Read<std::int32_t>(1024ull * p);
+          }
+        }
+        sys.sync(w).V(1);
+      });
+    }
+    for (int w = 1; w < kHosts; ++w) sys.sync(0).P(1);
+    h.runtime().Delay(Seconds(5));  // confirm drain
+    for (int i = 0; i < kHosts; ++i) {
+      settled[i] = sys.host(i).PageChunksInUse();
+    }
+    sys.CrashAndRestartHost(kVictim, Seconds(1));
+    h.runtime().Delay(Seconds(10));  // restart + rebuild
+    for (int i = 0; i < kHosts; ++i) {
+      after_recovery[i] = sys.host(i).PageChunksInUse();
+    }
+  });
+  eng.Run();
+  auto& st = sys.GatherStats();
+  ASSERT_EQ(st.Count("dsm.crashes"), 1);
+  ASSERT_EQ(st.HistCopy("dsm.recovery_ms").count(), 1);
+
+  const Placement placement(cfg, kHosts, kPages);
+  for (int i = 0; i < kHosts; ++i) {
+    std::set<PageNum> chunks;
+    for (PageNum p : placement.PagesOf(i)) {
+      chunks.insert(p / PageTable::kChunkPages);
+    }
+    for (PageNum p : touched[i]) chunks.insert(p / PageTable::kChunkPages);
+    EXPECT_LE(settled[i], chunks.size()) << "host " << i;
+    if (i != kVictim) {
+      EXPECT_EQ(after_recovery[i], settled[i])
+          << "host " << i << ": the recovery query made chunks";
+    }
+  }
+  ExpectQuiescent(sys);
+}
+
 // ---------------------------------------------------------------------------
 // Chaos on the sharded directory: crash recovery, 30% loss, zipf-skewed
 // access, and a crash of the shard-heaviest host mid-run. The scenario runs

@@ -64,6 +64,54 @@ TEST(Directory, ForEachManagedVisitsExactlyOwnPages) {
   EXPECT_EQ(visited, (std::vector<PageNum>{2, 6, 10}));
 }
 
+// The const lookup reads any page, and a page whose chunk was never made
+// reads as a default entry, without making one: scans and requests from
+// the wire must not grow the table.
+TEST(PageTable, ConstLookupAllocatesNothing) {
+  const PageTable pt(/*num_pages=*/100);  // 6 full chunks and a partial one
+  for (PageNum p = 0; p < pt.num_pages(); ++p) {
+    const LocalPageEntry& e = pt.Local(p);
+    EXPECT_EQ(e.version, 0u) << "page " << p;
+    EXPECT_EQ(e.alloc_bytes, 0u) << "page " << p;
+    EXPECT_EQ(e.type, arch::TypeRegistry::kChar) << "page " << p;
+    EXPECT_EQ(e.access, Access::kNone) << "page " << p;
+    EXPECT_FALSE(e.owned) << "page " << p;
+    EXPECT_FALSE(e.retained) << "page " << p;
+  }
+  EXPECT_EQ(pt.ChunksInUse(), 0u);
+}
+
+// A crash wipe resets the chunks made so far in place: every entry goes
+// back to the default and keeps its address, and no chunk is made or freed.
+TEST(PageTable, WipeResetsInPlace) {
+  PageTable pt(/*num_pages=*/100);
+  const PageNum used[] = {0, 15, 16, 99};  // chunks 0, 1 and 6
+  std::vector<const LocalPageEntry*> addrs;
+  for (PageNum p : used) {
+    LocalPageEntry& e = pt.Local(p);
+    e.version = 7;
+    e.alloc_bytes = 1024;
+    e.type = arch::TypeRegistry::kInt;
+    e.access = Access::kWrite;
+    e.owned = true;
+    e.retained = true;
+    addrs.push_back(&e);
+  }
+  ASSERT_EQ(pt.ChunksInUse(), 3u);
+  pt.WipeForCrash();
+  EXPECT_EQ(pt.ChunksInUse(), 3u);
+  for (std::size_t i = 0; i < std::size(used); ++i) {
+    LocalPageEntry& e = pt.Local(used[i]);
+    EXPECT_EQ(&e, addrs[i]) << "page " << used[i];
+    EXPECT_EQ(e.version, 0u);
+    EXPECT_EQ(e.alloc_bytes, 0u);
+    EXPECT_EQ(e.type, arch::TypeRegistry::kChar);
+    EXPECT_EQ(e.access, Access::kNone);
+    EXPECT_FALSE(e.owned);
+    EXPECT_FALSE(e.retained);
+  }
+}
+
 TEST(Referee, AcceptsLegalSequence) {
   CoherenceReferee ref;
   ref.OnInstall(0, 5, 0, Access::kRead);   // initial owner copy
@@ -338,6 +386,53 @@ TEST(Robustness, ForgedTypeSetIsDropped) {
   EXPECT_EQ(sys.host(1).endpoint().stats().Count("reqrep.tx_msgs.type_set"),
             1);
   EXPECT_FALSE(rogue_rx.TryRecv().has_value());
+}
+
+// The central server's bounds test takes a u64 address off the wire. An
+// address near 2^64 must fail it rather than wrap past it: the forged read
+// would reply with bytes from before the image, and the forged write would
+// scribble there. Both are counted malformed and get no reply; the server
+// then still serves host 1.
+TEST(Robustness, CentralAddressWrapIsDropped) {
+  sim::Engine eng;
+  SystemConfig cfg;
+  cfg.region_bytes = 64 * 1024;
+  System sys(eng, cfg, {&arch::Sun3Profile(), &arch::FireflyProfile()});
+  sys.Start();
+  constexpr GlobalAddr kWrapping = ~GlobalAddr{0} - 7;  // 2^64 - 8
+  std::vector<net::CallStatus> forged;
+  std::int32_t round_trip = 0;
+  sys.SpawnThread(1, "rogue-then-client", [&](Host& h) {
+    net::Endpoint::CallOpts once;
+    once.timeout = Seconds(1);
+    once.max_attempts = 1;
+    base::WireWriter rd;
+    rd.U64(kWrapping);
+    rd.U32(16);
+    forged.push_back(h.endpoint()
+                         .CallWithStatus(0, kOpCentralRead,
+                                         std::move(rd).Take(),
+                                         net::MsgKind::kControl, once)
+                         .status);
+    base::WireWriter wr;
+    wr.U64(kWrapping);
+    wr.Raw(std::vector<std::uint8_t>(16, 0xAB));
+    forged.push_back(h.endpoint()
+                         .CallWithStatus(0, kOpCentralWrite,
+                                         std::move(wr).Take(),
+                                         net::MsgKind::kControl, once)
+                         .status);
+    CentralClient& cc = sys.central(h.id());
+    cc.Write<std::int32_t>(64 * 1024 - 4, -4242);  // the region's last word
+    round_trip = cc.Read<std::int32_t>(64 * 1024 - 4);
+  });
+  eng.Run();
+  EXPECT_EQ(forged, (std::vector<net::CallStatus>{net::CallStatus::kTimedOut,
+                                                  net::CallStatus::kTimedOut}));
+  EXPECT_EQ(sys.central_server().stats().Count("central.malformed"), 2);
+  EXPECT_EQ(round_trip, -4242);
+  EXPECT_EQ(sys.central_server().stats().Count("central.writes"), 1);
+  EXPECT_EQ(sys.central_server().stats().Count("central.reads"), 1);
 }
 
 // A transfer request whose role byte is neither kToManager nor kToOwner

@@ -76,6 +76,92 @@ TEST(AllocExtent, TypeSetIsOneCallPerRemoteManager) {
   EXPECT_EQ(sys.GatherStats().Count("reqrep.tx_msgs.type_set"), 2 * 3);
 }
 
+// Under crash recovery, an Alloc whose pages include one managed by a host
+// that is down with amnesia leaves that manager's type-set batch to the
+// restart, which replays the allocator's records into it. Sun + 2
+// Fireflies, 8 KB pages, page p managed by host p % 3; 6,144 ints fill
+// pages 0-2, and host 2 is down for 400 s, past the call budget (a call
+// that waited for it would abort the run). After the restart the Sun
+// writes every int and a Firefly reads them back. Without the replayed
+// kInt type, host 2 would grant page 2 as bytes and the Firefly would read
+// the Sun's big-endian ints unconverted.
+struct AllocAroundCrash {
+  SimDuration alloc_took = -1;  // of the Alloc that touches page 2
+  int mismatches = -1;
+  std::int64_t type_set_msgs = 0;
+  std::int64_t crashes = 0;
+};
+
+// `mid_call`: host 2 crashes while the batch for page 2 is on the wire
+// (the network drops it with the rest of host 2's traffic), rather than
+// before the Alloc starts.
+AllocAroundCrash RunAllocAroundCrash(bool mid_call) {
+  sim::Engine eng;
+  SystemConfig cfg;
+  cfg.region_bytes = 64 * 1024;
+  cfg.crash_recovery = true;
+  System sys(eng, cfg,
+             {&arch::Sun3Profile(), &arch::FireflyProfile(),
+              &arch::FireflyProfile()});
+  EXPECT_EQ(sys.page_bytes(), 8192u);
+  sys.Start();
+  constexpr int kCount = 6144;
+  const auto value = [](int i) { return i * 7919 - 3; };
+  AllocAroundCrash out;
+  sys.SpawnThread(0, "sun", [&](Host& h) {
+    int first = 0;  // ints allocated before the Alloc that touches page 2
+    if (mid_call) {
+      first = 4096;  // pages 0 and 1: the next Alloc calls host 2 alone
+      EXPECT_EQ(sys.Alloc(0, Reg::kInt, first), 0u);
+      sys.SpawnThread(0, "crasher", [&](Host& hh) {
+        hh.runtime().Delay(Microseconds(1));
+        sys.CrashAndRestartHost(2, Seconds(400));
+      });
+    } else {
+      sys.CrashAndRestartHost(2, Seconds(400));
+    }
+    const SimTime t0 = h.runtime().Now();
+    EXPECT_EQ(sys.Alloc(0, Reg::kInt, kCount - first), 4ull * first);
+    out.alloc_took = h.runtime().Now() - t0;
+    h.runtime().Delay(Seconds(410));  // past the restart and its rebuild
+    for (int i = 0; i < kCount; ++i) {
+      h.Write<std::int32_t>(4ull * i, value(i));
+    }
+    sys.sync(0).EventSet(1);
+  });
+  sys.SpawnThread(1, "ffly", [&](Host& h) {
+    sys.sync(1).EventWait(1);
+    out.mismatches = 0;
+    for (int i = 0; i < kCount; ++i) {
+      if (h.Read<std::int32_t>(4ull * i) != value(i)) ++out.mismatches;
+    }
+  });
+  eng.Run();
+  out.type_set_msgs = sys.GatherStats().Count("reqrep.tx_msgs.type_set");
+  out.crashes = sys.GatherStats().Count("dsm.crashes");
+  return out;
+}
+
+TEST(AllocExtent, TypeSetForCrashedManagerIsReplayedAtRestart) {
+  const AllocAroundCrash r = RunAllocAroundCrash(/*mid_call=*/false);
+  // One round trip, to host 1; host 2's batch was never sent.
+  EXPECT_GE(r.alloc_took, 0);
+  EXPECT_LT(r.alloc_took, Milliseconds(100));
+  EXPECT_EQ(r.type_set_msgs, 2);
+  EXPECT_EQ(r.crashes, 1);
+  EXPECT_EQ(r.mismatches, 0);
+}
+
+TEST(AllocExtent, TypeSetCallCutByAManagerCrashIsReplayedAtRestart) {
+  const AllocAroundCrash r = RunAllocAroundCrash(/*mid_call=*/true);
+  // The call ran out its budget while host 2 was down, and the Alloc
+  // returned without waiting for the restart.
+  EXPECT_GT(r.alloc_took, Seconds(10));
+  EXPECT_LT(r.alloc_took, Seconds(400));
+  EXPECT_EQ(r.crashes, 1);
+  EXPECT_EQ(r.mismatches, 0);
+}
+
 TEST(Reassembler, StalePartialsAreCollected) {
   sim::Engine eng;
   net::Network net(eng, {});
